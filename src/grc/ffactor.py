@@ -22,11 +22,12 @@ from .model import (
     GrcInstance,
     SimpleGraph,
     SolveOutcome,
-    verify_realization,
-    width,
 )
-from .preprocess import eliminate_fixed_edges, possibility_graph
+from .preprocess import Core, as_core, possibility_graph, realized
 from .reduce3 import lift_realization
+
+# perfbench/tracing.py wraps these names in this module.
+from .preprocess import eliminate_fixed_edges, verify_realization  # noqa: F401
 
 # Degree targets, one entry per host vertex.
 FactorFunction = tuple[int, ...]
@@ -194,26 +195,21 @@ def solve_f_factor(host: SimpleGraph, f) -> SimpleGraph | None:
     return result
 
 
-def solve_width2(inst: GrcInstance) -> SolveOutcome:
-    """Decide an instance whose cut sets all have size <= 2.
+def solve_width2(inst: GrcInstance | Core) -> SolveOutcome:
+    """Decide an instance (or Core) whose cut sets all have size <= 2.
 
     Forced edges are eliminated, the survivors must form a degree-exact
-    subgraph of the possibility graph, and the forced edges are added back to
-    the witness.
+    subgraph of the possibility graph, and the witness is lifted back through
+    the Core's trace.
     """
-    if width(inst) > 2:
-        raise ValueError("solve_width2 needs all cut sets of size <= 2")
     try:
-        reduced, trace = eliminate_fixed_edges(inst)
+        core = as_core(inst)
     except Contradiction as exc:
         return SolveOutcome.infeasible(str(exc), method="ffactor")
-    host = possibility_graph(reduced)
-    factor = solve_f_factor(host, reduced.degrees)
+    if any(len(s) > 2 for s in core.cuts):
+        raise ValueError("solve_width2 needs all cut sets of size <= 2")
+    factor = solve_f_factor(possibility_graph(core), core.degrees)
     if factor is None:
         return SolveOutcome.infeasible(
             "possibility graph has no degree-exact spanning subgraph", method="ffactor")
-    witness = lift_realization(trace, factor)
-    report = verify_realization(witness, inst)
-    if not report.ok:
-        raise RuntimeError(f"width-2 witness failed verification: {report.violations}")
-    return SolveOutcome.realizable(witness, method="ffactor")
+    return realized(lift_realization(core.trace, factor), inst, "ffactor")

@@ -33,7 +33,7 @@ class CutConstraint:
             raise InvalidInstanceError("cut set must be nonempty")
         if canon[0] < 0:
             raise InvalidInstanceError(f"cut set holds a negative vertex index: {canon}")
-        if not isinstance(self.ell, int) or self.ell < 0:
+        if not isinstance(self.ell, int) or isinstance(self.ell, bool) or self.ell < 0:
             raise InvalidInstanceError(f"cut size must be a natural number, got {self.ell!r}")
 
 

@@ -1,11 +1,12 @@
 """Exhaustive reference solvers, the ground truth at desk scale.
 
 Instances are decided by depth-first search over the undecided vertex pairs
-of the possibility graph (forbidden pairs are never branched on, forced pairs
-are pre-included).  Pruning: (a) a vertex's remaining demand must fit in its
-remaining undecided pairs, (b) each cut's remaining demand must fit between 0
-and its remaining undecided crossing pairs.  The search is deterministic:
-pairs in ascending order, include tried before exclude.
+of the possibility graph (forbidden pairs are never branched on, forced edges
+are placed before the search starts).  Pruning: (a) a vertex's remaining
+demand must fit in its remaining undecided pairs, (b) each cut's remaining
+demand must fit between 0 and its remaining undecided crossing pairs.  The
+search is deterministic: pairs in ascending order, include tried before
+exclude.
 
 Also here: assignment enumeration for exactly-one-in-a-clause SAT and triple
 search for three-dimensional matching, used to cross-check the hardness
@@ -17,7 +18,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .model import GrcInstance, SimpleGraph, SolveOutcome, verify_realization
+from .model import Contradiction, GrcInstance, SimpleGraph, SolveOutcome
+# perfbench/tracing.py wraps this name in this module.
+from .model import verify_realization  # noqa: F401
+from .preprocess import Core, as_core, realized
+from .reduce3 import lift_realization
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
@@ -68,140 +73,121 @@ class _BudgetExhausted(Exception):
 
 
 class _EdgeSearch:
-    """Shared backtracking engine for oracle_solve and enumerate_realizations."""
+    """Shared backtracking engine for oracle_solve and enumerate_realizations.
 
-    def __init__(self, inst: GrcInstance, prune: bool = True):
+    Searches the undecided pairs of an eliminated Core; ``run`` may be called
+    once, as it leaves the counters where the search stopped.
+    """
+
+    def __init__(self, core: Core, prune: bool = True):
+        self.core = core
         self.prune = prune
         self.blocked: str | None = None
-        n = inst.vertex_count
-        forced: set[tuple[int, int]] = set()
-        forbidden: set[tuple[int, int]] = set()
-        for cut in inst.cuts:
-            if len(cut.members) != 2:
-                continue
-            u, v = cut.members
-            s = inst.degrees[u] + inst.degrees[v]
-            if cut.ell == s:
-                forbidden.add((u, v))
-            elif cut.ell == s - 2:
-                forced.add((u, v))
-            else:
-                self.blocked = (
-                    f"pair cut {cut.members} demands {cut.ell}, but only {s} or {s - 2} are attainable")
-                return
-        clash = forced & forbidden
-        if clash:
-            self.blocked = f"pairs demanded both present and absent: {sorted(clash)}"
-            return
-        quota = list(inst.degrees)
-        for u, v in forced:
-            quota[u] -= 1
-            quota[v] -= 1
-        if any(q < 0 for q in quota):
-            self.blocked = "forced edges alone exceed a degree target"
-            return
-
-        self.n = n
-        self.forced = frozenset(forced)
-        self.quota = quota
-        self.pairs = [p for p in itertools.combinations(range(n), 2)
-                      if p not in forbidden and p not in forced]
+        n = core.vertex_count
+        self.quota = list(core.degrees)
+        self.pairs = [p for p in itertools.combinations(range(n), 2) if p not in core.forbidden]
         self.avail = [0] * n
-        for u, v in self.pairs:
-            self.avail[u] += 1
-            self.avail[v] += 1
-        tracked = [c for c in inst.cuts if len(c.members) != 2]
-        member_sets = [set(c.members) for c in tracked]
-        self.need = []
-        for c, m in zip(tracked, member_sets):
-            crossings = sum(1 for (u, v) in forced if (u in m) != (v in m))
-            self.need.append(c.ell - crossings)
-        self.cross_avail = [0] * len(tracked)
+        member_sets = [set(s) for s in core.cuts]
+        self.need = list(core.cuts.values())
+        self.cross_avail = [0] * len(member_sets)
         self.pair_cut_ids: list[tuple[int, ...]] = []
         for u, v in self.pairs:
             ids = tuple(i for i, m in enumerate(member_sets) if (u in m) != (v in m))
             self.pair_cut_ids.append(ids)
+            self.avail[u] += 1
+            self.avail[v] += 1
             for i in ids:
                 self.cross_avail[i] += 1
         if prune and (any(self.quota[v] > self.avail[v] for v in range(n))
                       or any(not 0 <= self.need[i] <= self.cross_avail[i]
-                             for i in range(len(tracked)))):
+                             for i in range(len(member_sets)))):
             self.blocked = "degree or cut demands exceed the undecided pairs"
 
-    def run(self, stop_after: int, node_budget: int) -> list[frozenset[tuple[int, int]]]:
-        """Collect up to ``stop_after`` realizations; raises _BudgetExhausted."""
+    def run(self, stop_after: int, node_budget: int) -> list[SimpleGraph]:
+        """Collect up to ``stop_after`` realizations, lifted through the Core's
+        trace; raises _BudgetExhausted.
+
+        Depth-first with an explicit stack, one entry per pair on the path, so
+        the depth is not bounded by the recursion limit.
+        """
         if self.blocked is not None or stop_after <= 0:
             return []
-        results: list[frozenset[tuple[int, int]]] = []
-        picked: list[tuple[int, int]] = []
+        results: list[SimpleGraph] = []
         quota, avail = self.quota, self.avail
         need, cross_avail = self.need, self.cross_avail
         pairs, pair_cut_ids = self.pairs, self.pair_cut_ids
         prune = self.prune
         total = len(pairs)
-        nodes = 0
 
-        def dfs(idx: int) -> bool:
-            nonlocal nodes
+        def fits(u: int, v: int, ids) -> bool:
+            return (not prune
+                    or (quota[u] <= avail[u] and quota[v] <= avail[v]
+                        and all(need[i] <= cross_avail[i] for i in ids)))
+
+        def take(u: int, v: int, ids, step: int) -> None:
+            quota[u] -= step
+            quota[v] -= step
+            for i in ids:
+                need[i] -= step
+
+        tried: list[int] = []  # per pair on the path: 0 opened, 1 included, 2 excluded
+        nodes = 0
+        while True:
             nodes += 1
             if nodes > node_budget:
                 raise _BudgetExhausted
-            if idx == total:
-                if all(q == 0 for q in quota) and all(x == 0 for x in need):
-                    results.append(self.forced | frozenset(picked))
-                    return len(results) >= stop_after
-                return False
-            u, v = pairs[idx]
-            ids = pair_cut_ids[idx]
-            avail[u] -= 1
-            avail[v] -= 1
-            for i in ids:
-                cross_avail[i] -= 1
-            stop = False
-            can_include = (not prune
-                           or (quota[u] > 0 and quota[v] > 0
-                               and all(need[i] > 0 for i in ids)))
-            if can_include:
-                quota[u] -= 1
-                quota[v] -= 1
+            depth = len(tried)
+            if depth < total:
+                u, v = pairs[depth]
+                avail[u] -= 1
+                avail[v] -= 1
+                for i in pair_cut_ids[depth]:
+                    cross_avail[i] -= 1
+                tried.append(0)
+            elif all(q == 0 for q in quota) and all(x == 0 for x in need):
+                picked = [p for p, t in zip(pairs, tried) if t == 1]
+                results.append(lift_realization(
+                    self.core.trace, SimpleGraph(self.core.vertex_count, picked)))
+                if len(results) >= stop_after:
+                    return results
+            # Take the next branch of the deepest pair that has one left.
+            while tried:
+                depth = len(tried) - 1
+                (u, v), ids = pairs[depth], pair_cut_ids[depth]
+                state = tried.pop()
+                if state == 1:
+                    take(u, v, ids, -1)
+                if state == 0 and (not prune or (quota[u] > 0 and quota[v] > 0
+                                                 and all(need[i] > 0 for i in ids))):
+                    take(u, v, ids, 1)
+                    if fits(u, v, ids):
+                        tried.append(1)
+                        break
+                    take(u, v, ids, -1)
+                if state < 2 and fits(u, v, ids):
+                    tried.append(2)
+                    break
+                avail[u] += 1
+                avail[v] += 1
                 for i in ids:
-                    need[i] -= 1
-                viable = (not prune
-                          or (quota[u] <= avail[u] and quota[v] <= avail[v]
-                              and all(need[i] <= cross_avail[i] for i in ids)))
-                if viable:
-                    picked.append((u, v))
-                    stop = dfs(idx + 1)
-                    picked.pop()
-                quota[u] += 1
-                quota[v] += 1
-                for i in ids:
-                    need[i] += 1
-            if not stop:
-                viable = (not prune
-                          or (quota[u] <= avail[u] and quota[v] <= avail[v]
-                              and all(need[i] <= cross_avail[i] for i in ids)))
-                if viable:
-                    stop = dfs(idx + 1)
-            avail[u] += 1
-            avail[v] += 1
-            for i in ids:
-                cross_avail[i] += 1
-            return stop
-
-        dfs(0)
-        return results
+                    cross_avail[i] += 1
+            else:
+                return results
 
 
-def oracle_solve(inst: GrcInstance, node_budget: int = DEFAULT_NODE_BUDGET, *,
+def oracle_solve(inst: GrcInstance | Core, node_budget: int = DEFAULT_NODE_BUDGET, *,
                  prune: bool = True) -> SolveOutcome:
     """Exhaustive decision by pruned backtracking; the reference for all solvers.
 
-    Accepts any valid instance, normalized or not; fixed pairs are handled by
-    forcing.  Returns ResourceLimit (never a wrong answer) once the search
-    visits more than ``node_budget`` nodes.
+    Accepts any valid instance, normalized or not, or a Core; fixed pairs are
+    eliminated first.  Returns ResourceLimit (never a wrong answer) once the
+    search visits more than ``node_budget`` nodes.
     """
-    search = _EdgeSearch(inst, prune=prune)
+    try:
+        core = as_core(inst)
+    except Contradiction as exc:
+        return SolveOutcome.infeasible(str(exc), method="oracle")
+    search = _EdgeSearch(core, prune=prune)
     if search.blocked is not None:
         return SolveOutcome.infeasible(search.blocked, method="oracle")
     try:
@@ -210,11 +196,7 @@ def oracle_solve(inst: GrcInstance, node_budget: int = DEFAULT_NODE_BUDGET, *,
         return SolveOutcome.resource_limit(method="oracle")
     if not results:
         return SolveOutcome.infeasible("exhausted the search space", method="oracle")
-    witness = SimpleGraph(inst.vertex_count, results[0])
-    report = verify_realization(witness, inst)
-    if not report.ok:
-        raise RuntimeError(f"oracle witness failed verification: {report.violations}")
-    return SolveOutcome.realizable(witness, method="oracle")
+    return realized(results[0], inst, "oracle")
 
 
 def enumerate_realizations(inst: GrcInstance, cap: int,
@@ -225,15 +207,16 @@ def enumerate_realizations(inst: GrcInstance, cap: int,
     node budget raises RuntimeError rather than returning a partial answer
     silently.
     """
-    search = _EdgeSearch(inst, prune=True)
-    if search.blocked is not None:
+    try:
+        core = as_core(inst)
+    except Contradiction:
         return []
     try:
-        results = search.run(cap, node_budget)
+        results = _EdgeSearch(core, prune=True).run(cap, node_budget)
     except _BudgetExhausted:
         raise RuntimeError("node budget exhausted during enumeration") from None
-    results.sort(key=lambda edges: tuple(sorted(edges)))
-    return [SimpleGraph(inst.vertex_count, edges) for edges in results]
+    results.sort(key=SimpleGraph.sorted_edges)
+    return results
 
 
 def sat_brute(f: OneInThreeInstance, k: int | None = None):

@@ -1,33 +1,23 @@
-"""Feasibility screening, pair-constraint distillation, forced-edge elimination.
+"""Screening and the Core, the one internal form of the solve pipeline.
 
-A size-2 cut is a statement about one vertex pair: demanded size d_u + d_v
-forces the edge absent ("forbidden"), d_u + d_v - 2 forces it present
-("fixed").  Fixed edges are eliminated by decrementing the endpoint degrees,
-after which the same cut reads as forbidden under the new degrees.
+A size-2 cut is a verdict on one vertex pair: demanded size d_u + d_v forbids
+the edge, d_u + d_v - 2 forces it ("fixed").  ``_classify_pairs`` reads these
+verdicts once into a ``Core``: residual degrees, forbidden and forced pair
+sets, the other cuts with their residual demand, and the rewrite trace.
+``Core.eliminate`` places the forced edges in one pass; every solver route
+then works on the Core and never reads a size-2 cut again.  Public functions
+still accept instances: ``as_core`` converts at entry, and ``to_instance`` or
+``realized`` (which verifies the witness) at exit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from math import comb
 
-from .model import Contradiction, CutConstraint, GrcInstance, SimpleGraph, degree_sum
-
-
-@dataclass(frozen=True)
-class PairLedger:
-    """Per-pair verdicts distilled from size-2 cuts."""
-
-    fixed: frozenset[tuple[int, int]]
-    forbidden: frozenset[tuple[int, int]]
-
-    def status(self, u: int, v: int) -> str:
-        pair = (u, v) if u < v else (v, u)
-        if pair in self.fixed:
-            return "fixed"
-        if pair in self.forbidden:
-            return "forbidden"
-        return "free"
+from .model import (Contradiction, CutConstraint, GrcInstance, SimpleGraph, SolveOutcome,
+                    degree_sum, verify_realization)
 
 
 # Rewrite records.  Applied in list order they turn the original instance into
@@ -129,77 +119,150 @@ def screen_instance(inst: GrcInstance) -> None:
                 f"cut {cut.members} demands size {cut.ell}, outside the attainable sizes")
 
 
-def _classify_pairs(degrees, cuts) -> PairLedger:
-    fixed: set[tuple[int, int]] = set()
-    forbidden: set[tuple[int, int]] = set()
-    for cut in cuts:
-        if len(cut.members) != 2:
+@dataclass
+class Core:
+    """The one internal form every solver stage works on.
+
+    ``forbidden`` and ``forced`` hold the pair verdicts, read once from the
+    size-2 cuts; ``cuts`` maps every other cut set to its residual demand;
+    ``trace`` lists the rewrites that lead here from the instance the Core was
+    built from, so ``lift_realization(trace, g)`` maps a realization back.
+    """
+
+    degrees: list[int]
+    forbidden: set[tuple[int, int]]
+    forced: set[tuple[int, int]]
+    cuts: dict[tuple[int, ...], int]
+    trace: list[TraceRecord] = field(default_factory=list)
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.degrees)
+
+    def status(self, u: int, v: int) -> str:
+        """Verdict on the pair: "fixed", "forbidden" or "free"."""
+        pair = (u, v) if u < v else (v, u)
+        if pair in self.forced:
+            return "fixed"
+        return "forbidden" if pair in self.forbidden else "free"
+
+    def copy(self) -> Core:
+        return Core(list(self.degrees), set(self.forbidden), set(self.forced),
+                    dict(self.cuts), list(self.trace))
+
+    def check_clash(self) -> None:
+        clash = self.forced & self.forbidden
+        if clash:
+            raise Contradiction(f"pairs demanded both present and absent: {sorted(clash)}")
+
+    def eliminate(self) -> None:
+        """Place every forced edge, in ascending pair order, and forbid its pair.
+
+        Placing (u, v) lowers d_u, d_v and the demand of every cut it crosses.
+        A pair cut at u or v other than {u, v} loses one from both its demand
+        and its degree sum, so no other verdict changes and one pass suffices.
+        """
+        self.check_clash()
+        degrees, cuts = self.degrees, self.cuts
+        pending = sorted(self.forced)
+        for i, (u, v) in enumerate(pending):
+            if degrees[u] == 0 or degrees[v] == 0:
+                raise Contradiction(f"forced edge ({u},{v}) would drive a degree below zero")
+            degrees[u] -= 1
+            degrees[v] -= 1
+            for s, ell in cuts.items():
+                if (u in s) != (v in s):
+                    if ell == 0:
+                        raise Contradiction(
+                            f"forced edge ({u},{v}) crosses cut {s} of demanded size 0")
+                    cuts[s] = ell - 1
+            # A later forced pair (a, b) sharing an endpoint is a crossed pair
+            # cut; its demand d_a + d_b - 2, before this edge, is 0 exactly when
+            # the degrees now sum to 1.
+            for a, b in pending[i + 1:]:
+                if (a in (u, v) or b in (u, v)) and degrees[a] + degrees[b] == 1:
+                    raise Contradiction(
+                        f"forced edge ({u},{v}) crosses cut {(a, b)} of demanded size 0")
+            self.forbidden.add((u, v))
+            self.trace.append(FixedEdgeEliminated(u, v))
+        self.forced.clear()
+
+    def to_instance(self) -> GrcInstance:
+        """The equivalent instance: each pair verdict written back as a size-2 cut."""
+        d = self.degrees
+        pairs = [CutConstraint(p, d[p[0]] + d[p[1]] - 2) for p in sorted(self.forced)]
+        pairs += [CutConstraint(p, d[p[0]] + d[p[1]]) for p in sorted(self.forbidden)]
+        rest = [CutConstraint(s, ell) for s, ell in self.cuts.items()]
+        return GrcInstance(tuple(d), (*pairs, *rest))
+
+
+def _classify_pairs(inst: GrcInstance) -> Core:
+    """Read each size-2 cut of ``inst`` as a verdict on its pair; nothing is eliminated."""
+    core = Core(list(inst.degrees), set(), set(), {})
+    for cut in inst.cuts:
+        s = cut.members
+        if len(s) != 2:
+            if core.cuts.setdefault(s, cut.ell) != cut.ell:
+                raise Contradiction(
+                    f"cut set {s} demanded with two different sizes {core.cuts[s]} and {cut.ell}")
             continue
-        u, v = cut.members
-        s = degrees[u] + degrees[v]
-        if cut.ell == s:
-            forbidden.add((u, v))
-        elif cut.ell == s - 2:
-            fixed.add((u, v))
+        total = inst.degrees[s[0]] + inst.degrees[s[1]]
+        if cut.ell == total:
+            core.forbidden.add(s)
+        elif cut.ell == total - 2:
+            core.forced.add(s)
         else:
             raise Contradiction(
-                f"pair cut {cut.members} demands {cut.ell}, but only {s} or {s - 2} are attainable")
-    clash = fixed & forbidden
-    if clash:
-        raise Contradiction(f"pairs demanded both present and absent: {sorted(clash)}")
-    return PairLedger(frozenset(fixed), frozenset(forbidden))
+                f"pair cut {s} demands {cut.ell}, but only {total} or {total - 2} are attainable")
+    core.check_clash()
+    return core
 
 
-def build_pair_ledger(inst: GrcInstance) -> PairLedger:
-    """Classify every size-2 cut under the instance's current degrees."""
-    return _classify_pairs(inst.degrees, inst.cuts)
+def as_core(inst: GrcInstance | Core) -> Core:
+    """``inst`` classified and with its forced edges eliminated; a Core passes through."""
+    if isinstance(inst, Core):
+        return inst
+    core = _classify_pairs(inst)
+    core.eliminate()
+    return core
+
+
+def realized(witness: SimpleGraph, source: GrcInstance | Core, method: str) -> SolveOutcome:
+    """Realizable outcome; ``witness`` is verified here when ``source`` is an
+    instance, and by the caller (against its own instance) when it is a Core."""
+    if isinstance(source, GrcInstance):
+        report = verify_realization(witness, source)
+        if not report.ok:
+            raise RuntimeError(f"{method} witness failed verification: {report.violations}")
+    return SolveOutcome.realizable(witness, method=method)
+
+
+def build_pair_ledger(inst: GrcInstance) -> Core:
+    """Classify every size-2 cut under the instance's current degrees; see ``Core.status``."""
+    return _classify_pairs(inst)
 
 
 def eliminate_fixed_edges(inst: GrcInstance):
-    """Strip forced edges one at a time (ascending pair order) until none remain.
+    """Strip forced edges in ascending pair order; returns the reduced instance and trace.
 
     Removing a forced edge decrements both endpoint degrees and the demanded
     size of every cut the edge crosses; cuts it does not cross keep their size.
     The fixing pair cut itself is not crossed, so its unchanged size reads as
-    "forbidden" under the new degrees.  Returns the reduced instance plus the
-    elimination trace.
+    "forbidden" under the new degrees.
     """
-    degrees = list(inst.degrees)
-    cuts = list(inst.cuts)
-    trace: list[FixedEdgeEliminated] = []
-    while True:
-        ledger = _classify_pairs(degrees, cuts)
-        if not ledger.fixed:
-            break
-        u, v = min(ledger.fixed)
-        if degrees[u] == 0 or degrees[v] == 0:
-            raise Contradiction(f"forced edge ({u},{v}) would drive a degree below zero")
-        degrees[u] -= 1
-        degrees[v] -= 1
-        adjusted = []
-        for cut in cuts:
-            crosses = (u in cut.members) != (v in cut.members)
-            if crosses:
-                if cut.ell == 0:
-                    raise Contradiction(
-                        f"forced edge ({u},{v}) crosses cut {cut.members} of demanded size 0")
-                cut = CutConstraint(cut.members, cut.ell - 1)
-            adjusted.append(cut)
-        cuts = adjusted
-        trace.append(FixedEdgeEliminated(u, v))
-    return GrcInstance(tuple(degrees), tuple(cuts)), tuple(trace)
+    core = as_core(inst)
+    return core.to_instance(), tuple(core.trace)
 
 
-def possibility_graph(inst: GrcInstance) -> SimpleGraph:
+def possibility_graph(inst: GrcInstance | Core) -> SimpleGraph:
     """Complete graph minus all forbidden pairs; supergraph of every realization.
 
-    The instance must carry no fixed pairs (run eliminate_fixed_edges first).
+    The instance or Core must carry no fixed pairs (run eliminate_fixed_edges first).
     """
-    ledger = build_pair_ledger(inst)
-    if ledger.fixed:
+    core = inst if isinstance(inst, Core) else _classify_pairs(inst)
+    if core.forced:
         raise ValueError(
-            f"fixed pairs remain, run eliminate_fixed_edges first: {sorted(ledger.fixed)}")
-    n = inst.vertex_count
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if (u, v) not in ledger.forbidden]
-    return SimpleGraph(n, frozenset(edges))
+            f"fixed pairs remain, run eliminate_fixed_edges first: {sorted(core.forced)}")
+    n = core.vertex_count
+    return SimpleGraph(n, frozenset(
+        p for p in itertools.combinations(range(n), 2) if p not in core.forbidden))

@@ -13,18 +13,19 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 
-from .model import Contradiction, CutConstraint, GrcInstance, SimpleGraph, width
+from .model import Contradiction, CutConstraint, GrcInstance, SimpleGraph
 from .preprocess import (
     Case1Forbid,
     Case2Fix,
     Case3Gadget,
     Case4Gadget,
+    Core,
     FixedEdgeEliminated,
     TraceRecord,
-    build_pair_ledger,
-    eliminate_fixed_edges,
-    feasible_ell_set,
+    _classify_pairs,
 )
+# perfbench/tracing.py wraps this name in this module.
+from .preprocess import eliminate_fixed_edges  # noqa: F401
 
 
 class Size3Case(Enum):
@@ -45,7 +46,7 @@ class UnsafeReduction(Exception):
         super().__init__(msg or "unsafe reduction")
 
 
-def classify_case(inst: GrcInstance, cut: CutConstraint) -> Size3Case:
+def classify_case(inst: GrcInstance | Core, cut: CutConstraint) -> Size3Case:
     if len(cut.members) != 3:
         raise ValueError(f"classification applies to size-3 cut sets, got {cut.members}")
     diff = sum(inst.degrees[v] for v in cut.members) - cut.ell
@@ -57,74 +58,80 @@ def classify_case(inst: GrcInstance, cut: CutConstraint) -> Size3Case:
             "screen the instance first") from None
 
 
-def _safety_violations(inst: GrcInstance, cut: CutConstraint) -> list[dict]:
-    """Reasons the helper-vertex rewrite of ``cut`` cannot be trusted, if any."""
+def _safety_violations(core: Core, s: tuple[int, ...]) -> list[dict]:
+    """Reasons the helper-vertex rewrite of the cut on ``s`` cannot be trusted, if any."""
     out: list[dict] = []
-    ledger = build_pair_ledger(inst)
-    for u, v in itertools.combinations(cut.members, 2):
-        status = ledger.status(u, v)
+    for u, v in itertools.combinations(s, 2):
+        status = core.status(u, v)
         if status != "free":
-            out.append({"set": list(cut.members),
+            out.append({"set": list(s),
                         "reason": f"internal pair ({u},{v}) is already {status}"})
-    for other in inst.cuts:
-        if other == cut or len(other.members) < 3:
+    for other in core.cuts:
+        if other == s or len(other) < 3:
             continue
-        shared = set(other.members) & set(cut.members)
+        shared = set(other) & set(s)
         if len(shared) >= 2:
-            out.append({"set": list(cut.members),
-                        "reason": f"shares vertices {sorted(shared)} with cut {list(other.members)}"})
+            out.append({"set": list(s),
+                        "reason": f"shares vertices {sorted(shared)} with cut {list(other)}"})
     return out
 
 
 def gadget_safe(inst: GrcInstance, cut: CutConstraint) -> bool:
     """True iff no internal pair of the cut carries a pair constraint and no
     other cut of size >= 3 shares two or more vertices with it."""
-    return not _safety_violations(inst, cut)
+    return not _safety_violations(_classify_pairs(inst), cut.members)
 
 
-def _removed(cuts, cut) -> list[CutConstraint]:
-    out = list(cuts)
-    out.remove(cut)
-    return out
+_RECORDS = {Size3Case.CASE1: Case1Forbid, Size3Case.CASE2: Case2Fix,
+            Size3Case.CASE3: Case3Gadget, Size3Case.CASE4: Case4Gadget}
+_HELPER_DEGREES = {Size3Case.CASE3: (2,), Size3Case.CASE4: (3, 1)}
 
 
-def _add_forbid(cuts: list[CutConstraint], degrees, u: int, v: int) -> None:
-    if u > v:
-        u, v = v, u
-    c = CutConstraint((u, v), degrees[u] + degrees[v])
-    if c not in cuts:
-        cuts.append(c)
+def _rewrite(core: Core, s: tuple[int, ...], case: Size3Case) -> TraceRecord:
+    """Rewrite the cut on ``s`` in place, as apply_case1..4 describe; forced
+    pairs wait for the next ``Core.eliminate``.  Returns the trace record."""
+    del core.cuts[s]
+    n = core.vertex_count
+    extra = _HELPER_DEGREES.get(case, ())
+    helpers = range(n, n + len(extra))
+    core.degrees.extend(extra)
+    for h in helpers:
+        core.forbidden.update((z, h) for z in range(n) if z not in s)
+    if case is Size3Case.CASE4:
+        core.forbidden.add((n, n + 1))
+        core.forced.update((z, n) for z in s)
+    for u, v in itertools.combinations(s, 2):
+        if case is not Size3Case.CASE2:
+            core.forbidden.add((u, v))
+        elif core.degrees[u] + core.degrees[v] < 2:
+            raise Contradiction(f"cannot force edge ({u},{v}): "
+                                f"degrees {core.degrees[u]},{core.degrees[v]} too small")
+        else:
+            core.forced.add((u, v))
+    record = _RECORDS[case](s, *helpers)
+    core.trace.append(record)
+    return record
 
 
-def _add_fix(cuts: list[CutConstraint], degrees, u: int, v: int) -> None:
-    if u > v:
-        u, v = v, u
-    ell = degrees[u] + degrees[v] - 2
-    if ell < 0:
-        raise Contradiction(f"cannot force edge ({u},{v}): degrees {degrees[u]},{degrees[v]} too small")
-    c = CutConstraint((u, v), ell)
-    if c not in cuts:
-        cuts.append(c)
+def _apply(inst: GrcInstance, cut: CutConstraint, case: Size3Case, guard: bool):
+    if classify_case(inst, cut) is not case:
+        raise ValueError(f"apply_{case.name.lower()} expects a cut with ell = d(S) - {case.value}")
+    core = _classify_pairs(inst)
+    offenders = _safety_violations(core, cut.members) if guard else []
+    if offenders:
+        raise UnsafeReduction(offenders)
+    record = _rewrite(core, cut.members, case)
+    return core.to_instance(), record
 
 
 def apply_case1(inst: GrcInstance, cut: CutConstraint):
     """ell = d(S): every degree unit leaves S, so all internal pairs are forbidden."""
-    if classify_case(inst, cut) is not Size3Case.CASE1:
-        raise ValueError("apply_case1 expects a cut with ell = d(S)")
-    cuts = _removed(inst.cuts, cut)
-    for u, v in itertools.combinations(cut.members, 2):
-        _add_forbid(cuts, inst.degrees, u, v)
-    return GrcInstance(inst.degrees, tuple(cuts)), Case1Forbid(cut.members)
+    return _apply(inst, cut, Size3Case.CASE1, guard=False)
 
 
 def apply_case2(inst: GrcInstance, cut: CutConstraint):
     """ell = d(S) - 6: all three internal edges are forced."""
-    if classify_case(inst, cut) is not Size3Case.CASE2:
-        raise ValueError("apply_case2 expects a cut with ell = d(S) - 6")
-    cuts = _removed(inst.cuts, cut)
-    for u, v in itertools.combinations(cut.members, 2):
-        _add_fix(cuts, inst.degrees, u, v)
-    return GrcInstance(inst.degrees, tuple(cuts)), Case2Fix(cut.members)
+    return _apply(inst, cut, Size3Case.CASE2, guard=False)
 
 
 def apply_case3(inst: GrcInstance, cut: CutConstraint, *, force: bool = False):
@@ -134,22 +141,7 @@ def apply_case3(inst: GrcInstance, cut: CutConstraint, *, force: bool = False):
     of that edge.  All internal pairs of S are forbidden, and x is forbidden
     from every vertex outside S (including helper vertices of other rewrites).
     """
-    if classify_case(inst, cut) is not Size3Case.CASE3:
-        raise ValueError("apply_case3 expects a cut with ell = d(S) - 2")
-    if not force:
-        offenders = _safety_violations(inst, cut)
-        if offenders:
-            raise UnsafeReduction(offenders)
-    n = inst.vertex_count
-    x = n
-    degrees = (*inst.degrees, 2)
-    cuts = _removed(inst.cuts, cut)
-    for z in range(n):
-        if z not in cut.members:
-            _add_forbid(cuts, degrees, z, x)
-    for u, v in itertools.combinations(cut.members, 2):
-        _add_forbid(cuts, degrees, u, v)
-    return GrcInstance(degrees, tuple(cuts)), Case3Gadget(cut.members, x)
+    return _apply(inst, cut, Size3Case.CASE3, guard=not force)
 
 
 def apply_case4(inst: GrcInstance, cut: CutConstraint, *, force: bool = False):
@@ -160,76 +152,48 @@ def apply_case4(inst: GrcInstance, cut: CutConstraint, *, force: bool = False):
     common endpoint of the two internal edges.  Internal pairs of S are
     forbidden, and both helpers are forbidden from everything outside S.
     """
-    if classify_case(inst, cut) is not Size3Case.CASE4:
-        raise ValueError("apply_case4 expects a cut with ell = d(S) - 4")
-    if not force:
-        offenders = _safety_violations(inst, cut)
-        if offenders:
-            raise UnsafeReduction(offenders)
-    n = inst.vertex_count
-    x, y = n, n + 1
-    degrees = (*inst.degrees, 3, 1)
-    cuts = _removed(inst.cuts, cut)
-    for z in range(n):
-        if z in cut.members:
-            _add_fix(cuts, degrees, z, x)
-        else:
-            _add_forbid(cuts, degrees, z, x)
-            _add_forbid(cuts, degrees, z, y)
-    _add_forbid(cuts, degrees, x, y)
-    for u, v in itertools.combinations(cut.members, 2):
-        _add_forbid(cuts, degrees, u, v)
-    return GrcInstance(degrees, tuple(cuts)), Case4Gadget(cut.members, x, y)
+    return _apply(inst, cut, Size3Case.CASE4, guard=not force)
 
 
-def reduce_to_width2(inst: GrcInstance, *, guard: bool = True):
+def reduce_to_width2(inst: GrcInstance | Core, *, guard: bool = True):
     """Rewrite every size-3 cut, yielding an equivalent instance of width <= 2.
 
-    Expects a normalized, screened instance.  Loops: eliminate forced edges,
-    re-derive the case of each remaining size-3 cut from the current degrees,
-    apply forbid/fix rewrites first, then helper-vertex rewrites in ascending
-    set order.  Raises UnsafeReduction when the guard rejects a remaining cut
-    (with guard=False the rewrites are applied regardless, which is unsound in
+    Expects a normalized, screened instance, or a Core built from one (which
+    is copied, not changed).  Loops: eliminate forced edges, derive the case
+    of each remaining size-3 cut from the current degrees, apply forbid/fix
+    rewrites first, then helper-vertex rewrites in ascending set order.
+    Raises UnsafeReduction when the guard rejects a remaining cut (with
+    guard=False the rewrites are applied regardless, which is unsound in
     general and exists for diagnostics), Contradiction when the rewrites
     surface genuinely conflicting constraints.  Returns the reduced instance
-    and the composite trace.
+    (a Core for a Core) and the trace from the instance the input was built
+    from.
     """
-    if width(inst) > 3:
+    from_instance = isinstance(inst, GrcInstance)
+    work = _classify_pairs(inst) if from_instance else inst.copy()
+    if any(len(s) > 3 for s in work.cuts):
         raise ValueError("reduction handles instances of width <= 3 only")
-    work = inst
-    trace: list[TraceRecord] = []
     while True:
-        work, eliminated = eliminate_fixed_edges(work)
-        trace.extend(eliminated)
-        size3 = sorted((c for c in work.cuts if len(c.members) == 3), key=lambda c: c.members)
+        work.eliminate()
+        size3 = sorted(s for s in work.cuts if len(s) == 3)
         if not size3:
             break
-        for c in size3:
-            if c.ell not in feasible_ell_set(work, c.members):
+        cases = {}
+        for s in size3:
+            try:
+                cases[s] = classify_case(work, CutConstraint(s, work.cuts[s]))
+            except ValueError:
                 raise Contradiction(
-                    f"after forced-edge elimination, cut {c.members} demands {c.ell}, "
-                    "outside the attainable sizes")
-        cases = {c: classify_case(work, c) for c in size3}
-        easy = [c for c in size3 if cases[c] in (Size3Case.CASE1, Size3Case.CASE2)]
-        if easy:
-            target = easy[0]
-            if cases[target] is Size3Case.CASE1:
-                work, record = apply_case1(work, target)
-            else:
-                work, record = apply_case2(work, target)
-            trace.append(record)
-            continue
-        if guard:
-            offenders = [o for c in size3 for o in _safety_violations(work, c)]
+                    f"after forced-edge elimination, cut {s} demands {work.cuts[s]}, "
+                    "outside the attainable sizes") from None
+        target = next((s for s in size3 if cases[s] in (Size3Case.CASE1, Size3Case.CASE2)), None)
+        if target is None:
+            offenders = [o for s in size3 for o in _safety_violations(work, s)] if guard else []
             if offenders:
                 raise UnsafeReduction(offenders)
-        target = size3[0]
-        if cases[target] is Size3Case.CASE3:
-            work, record = apply_case3(work, target, force=not guard)
-        else:
-            work, record = apply_case4(work, target, force=not guard)
-        trace.append(record)
-    return work, tuple(trace)
+            target = size3[0]
+        _rewrite(work, target, cases[target])
+    return (work.to_instance() if from_instance else work), tuple(work.trace)
 
 
 def _neighbors_in(edges: set[tuple[int, int]], v: int) -> list[int]:

@@ -1,9 +1,11 @@
-"""Dispatch pipeline: normalize, screen, eliminate, then pick a solver.
+"""Dispatch pipeline: normalize, screen, build the Core once, then pick a solver.
 
-Order of preference: leaf peeling when the possibility graph is a forest,
-the matching route when all cut sets have size <= 2, the size-3 rewrite plus
-matching when the guard admits it, and pruned exhaustive search otherwise
-(also as the fallback when the rewrite refuses).
+The normalized instance becomes one Core (pair verdicts classified, forced
+edges eliminated), and every route reads that Core: leaf peeling when its
+possibility graph is a forest, the matching route when all cut sets have size
+<= 2, the size-3 rewrite plus matching when the guard admits it, and pruned
+exhaustive search otherwise (also as the fallback when the rewrite refuses).
+The witness of any route is verified once, against the instance as given.
 """
 
 from __future__ import annotations
@@ -12,16 +14,19 @@ from .model import (
     Contradiction,
     GrcInstance,
     SolveOutcome,
-    Status,
     normalize,
     verify_realization,
     width,
 )
 from .ffactor import solve_width2
 from .oracle import DEFAULT_NODE_BUDGET, oracle_solve
-from .preprocess import eliminate_fixed_edges, possibility_graph, screen_instance
-from .reduce3 import UnsafeReduction, lift_realization, reduce_to_width2
+from .preprocess import as_core, possibility_graph, screen_instance
+from .reduce3 import UnsafeReduction, reduce_to_width2
 from .treesolve import is_forest, solve_tree
+
+# perfbench/tracing.py wraps these names in this module.
+from .preprocess import eliminate_fixed_edges  # noqa: F401
+from .reduce3 import lift_realization  # noqa: F401
 
 METHODS = ("auto", "tree", "ffactor", "reduce3", "oracle")
 
@@ -30,21 +35,9 @@ class MethodNotApplicable(ValueError):
     """A forced method cannot run on this instance."""
 
 
-def _solve_by_reduction(norm: GrcInstance, elim: GrcInstance, trace0) -> SolveOutcome:
-    reduced, trace1 = reduce_to_width2(elim)
-    sub = solve_width2(reduced)
-    if sub.status is not Status.REALIZABLE:
-        return SolveOutcome.infeasible(sub.reason, method="reduce3")
-    witness = lift_realization(tuple(trace0) + tuple(trace1), sub.witness)
-    report = verify_realization(witness, norm)
-    if not report.ok:
-        raise RuntimeError(f"lifted witness failed verification: {report.violations}")
-    return SolveOutcome.realizable(witness, method="reduce3")
-
-
 def solve(inst: GrcInstance, *, method: str = "auto",
           node_budget: int = DEFAULT_NODE_BUDGET) -> SolveOutcome:
-    """Decide realizability; any witness is verified against ``inst`` before return."""
+    """Decide realizability; any witness is verified once, against ``inst``, before return."""
     if method not in METHODS:
         raise MethodNotApplicable(f"unknown method {method!r}, pick one of {METHODS}")
     try:
@@ -52,49 +45,39 @@ def solve(inst: GrcInstance, *, method: str = "auto",
         screen_instance(norm)
     except Contradiction as exc:
         return SolveOutcome.infeasible(str(exc), method="screen")
+    limit = {"ffactor": 2, "reduce3": 3}.get(method)
+    if limit is not None and width(norm) > limit:
+        raise MethodNotApplicable(f"instance has cut sets of size {limit + 1} or more")
+    try:
+        core = as_core(norm)
+    except Contradiction as exc:
+        return SolveOutcome.infeasible(
+            str(exc), method="preprocess" if method == "auto" else method)
 
-    if method == "oracle":
-        outcome = oracle_solve(norm, node_budget)
-    elif method == "tree":
+    route = method
+    if method == "auto":
+        w = width(norm)
+        route = ("tree" if is_forest(possibility_graph(core))
+                 else "ffactor" if w <= 2 else "reduce3" if w == 3 else "oracle")
+    elif method == "tree" and not is_forest(possibility_graph(core)):
+        raise MethodNotApplicable("possibility graph is not a tree or forest")
+
+    if route == "tree":
+        outcome = solve_tree(core)
+    elif route == "ffactor":
+        outcome = solve_width2(core)
+    elif route == "reduce3":
         try:
-            elim, _ = eliminate_fixed_edges(norm)
-        except Contradiction as exc:
-            return SolveOutcome.infeasible(str(exc), method="tree")
-        if not is_forest(possibility_graph(elim)):
-            raise MethodNotApplicable("possibility graph is not a tree or forest")
-        outcome = solve_tree(norm)
-    elif method == "ffactor":
-        if width(norm) > 2:
-            raise MethodNotApplicable("instance has cut sets of size 3 or more")
-        outcome = solve_width2(norm)
-    elif method == "reduce3":
-        if width(norm) > 3:
-            raise MethodNotApplicable("instance has cut sets of size 4 or more")
-        try:
-            elim, trace0 = eliminate_fixed_edges(norm)
-            outcome = _solve_by_reduction(norm, elim, trace0)
+            reduced, _ = reduce_to_width2(core)
+            outcome = solve_width2(reduced).with_method("reduce3")
         except UnsafeReduction as exc:
-            raise MethodNotApplicable(f"size-3 rewrite is unsafe here: {exc}") from exc
+            if method == "reduce3":
+                raise MethodNotApplicable(f"size-3 rewrite is unsafe here: {exc}") from exc
+            outcome = oracle_solve(core, node_budget)
         except Contradiction as exc:
             return SolveOutcome.infeasible(str(exc), method="reduce3")
-    else:  # auto
-        try:
-            elim, trace0 = eliminate_fixed_edges(norm)
-        except Contradiction as exc:
-            return SolveOutcome.infeasible(str(exc), method="preprocess")
-        if is_forest(possibility_graph(elim)):
-            outcome = solve_tree(norm)
-        elif width(elim) <= 2:
-            outcome = solve_width2(norm)
-        elif width(elim) == 3:
-            try:
-                outcome = _solve_by_reduction(norm, elim, trace0)
-            except UnsafeReduction:
-                outcome = oracle_solve(norm, node_budget)
-            except Contradiction as exc:
-                return SolveOutcome.infeasible(str(exc), method="reduce3")
-        else:
-            outcome = oracle_solve(norm, node_budget)
+    else:
+        outcome = oracle_solve(core, node_budget)
 
     if outcome.witness is not None:
         report = verify_realization(outcome.witness, inst)

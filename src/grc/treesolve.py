@@ -2,15 +2,19 @@
 
 On a tree the degree targets admit at most one spanning subgraph: each leaf
 either keeps its unique incident edge or drops it, forced by its target.  The
-peeled candidate is then verified against every cut of the instance.  Forests
-are handled component-wise; this is a documented extension of the tree case.
+peeled candidate is then checked against every cut that is not a pair cut.
+Forests are handled component-wise; this is a documented extension of the tree
+case.
 """
 
 from __future__ import annotations
 
-from .model import Contradiction, GrcInstance, SimpleGraph, SolveOutcome, verify_realization
-from .preprocess import eliminate_fixed_edges, possibility_graph
+from .model import Contradiction, GrcInstance, SimpleGraph, SolveOutcome, cut_size
+from .preprocess import Core, as_core, possibility_graph, realized
 from .reduce3 import lift_realization
+
+# perfbench/tracing.py wraps these names in this module.
+from .preprocess import eliminate_fixed_edges, verify_realization  # noqa: F401
 
 
 def _component_count(g: SimpleGraph) -> int:
@@ -66,23 +70,29 @@ def _peel(host: SimpleGraph, targets) -> set[tuple[int, int]] | None:
     return chosen
 
 
-def solve_tree(inst: GrcInstance) -> SolveOutcome:
-    """Decide an instance whose (forced-edge-eliminated) possibility graph is a
-    tree or forest; raises ValueError when it is not."""
+def solve_tree(inst: GrcInstance | Core) -> SolveOutcome:
+    """Decide an instance (or Core) whose (forced-edge-eliminated) possibility
+    graph is a tree or forest; raises ValueError when it is not.
+
+    The peeled subgraph meets the degrees and the pair verdicts by
+    construction, so only the Core's other cuts are checked on it.
+    """
     try:
-        reduced, trace = eliminate_fixed_edges(inst)
+        core = as_core(inst)
     except Contradiction as exc:
         return SolveOutcome.infeasible(str(exc), method="tree")
-    host = possibility_graph(reduced)
+    host = possibility_graph(core)
     if not is_forest(host):
         raise ValueError("possibility graph is not a tree or forest")
-    chosen = _peel(host, reduced.degrees)
+    chosen = _peel(host, core.degrees)
     if chosen is None:
         return SolveOutcome.infeasible("leaf peeling cannot meet the degree targets", method="tree")
-    candidate = lift_realization(trace, SimpleGraph(host.vertex_count, frozenset(chosen)))
-    report = verify_realization(candidate, inst)
-    if not report.ok:
+    peeled = SimpleGraph(host.vertex_count, frozenset(chosen))
+    sizes = {s: cut_size(peeled, s) for s in core.cuts}
+    violations = [f"cut {s}: size {sizes[s]} != required {ell}"
+                  for s, ell in core.cuts.items() if sizes[s] != ell]
+    if violations:
         return SolveOutcome.infeasible(
             "the unique degree-exact subgraph violates constraints: "
-            + "; ".join(report.violations), method="tree")
-    return SolveOutcome.realizable(candidate, method="tree")
+            + "; ".join(violations), method="tree")
+    return realized(lift_realization(core.trace, peeled), inst, "tree")

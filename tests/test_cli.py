@@ -48,6 +48,12 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", str(bad))
         assert code == 2 and "error" in err
 
+    def test_deep_oracle_search_exits_zero(self, tmp_path, capsys):
+        inst = GrcInstance((1,) * 46, (CutConstraint((0, 1, 2, 3), 4),))
+        code, out, _ = run_cli(capsys, "solve", write_instance(tmp_path, inst))
+        assert code == 0
+        assert json.loads(out) == {"method": "oracle", "realizable": True}
+
     def test_budget_exit_three(self, tmp_path, capsys):
         inst = GrcInstance((1,) * 8, (CutConstraint((0, 1, 2, 3), 4),))
         path = write_instance(tmp_path, inst)

@@ -1,14 +1,20 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import grc
 from grc import (
     Contradiction,
     CutConstraint,
     GrcInstance,
     MethodNotApplicable,
+    SimpleGraph,
     Status,
     UnsafeReduction,
+    cut_size,
     normalize,
     reduce_to_width2,
     screen_instance,
@@ -151,3 +157,101 @@ def test_determinism():
     for inst in instances:
         a, b = solve(inst), solve(inst)
         assert a.status == b.status and a.witness == b.witness and a.method == b.method
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of ``name`` at every grc module that binds it."""
+    calls = []
+    for module in (grc.preprocess, grc.reduce3, grc.solver, grc.ffactor,
+                   grc.treesolve, grc.oracle, grc.hardness):
+        original = getattr(module, name, None)
+        if original is not None:
+            def counted(*args, _original=original, **kwargs):
+                calls.append(name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _guarded_width3_instance():
+    # Four disjoint triples with 0, 1, 2 and 3 planted internal edges (rewrite
+    # cases 1, 3, 4 and 2), tied together by a few outside edges.
+    triples = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]
+    edges = {(0, 3), (2, 6), (4, 9), (7, 12), (8, 13), (11, 13),
+             (3, 4), (6, 7), (6, 8), (9, 10), (9, 11), (10, 11)}
+    g = SimpleGraph(14, edges)
+    cuts = tuple(CutConstraint(s, cut_size(g, s)) for s in triples)
+    return GrcInstance(g.degree_sequence(), cuts)
+
+
+def _forest_instance_with_forced_pairs():
+    tree = [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6), (6, 7)]
+    planted = [(0, 1), (1, 3), (3, 4), (5, 6)]
+    degrees = SimpleGraph(8, planted).degree_sequence()
+    cuts = [CutConstraint(p, degrees[p[0]] + degrees[p[1]])
+            for p in itertools.combinations(range(8), 2) if p not in tree]
+    cuts += [CutConstraint(p, degrees[p[0]] + degrees[p[1]] - 2) for p in ((1, 3), (5, 6))]
+    return GrcInstance(degrees, tuple(cuts))
+
+
+@pytest.mark.parametrize("make, route", [(_guarded_width3_instance, "reduce3"),
+                                         (_forest_instance_with_forced_pairs, "tree")])
+def test_each_stage_runs_once(monkeypatch, make, route):
+    inst = make()
+    classified = _count_calls(monkeypatch, "_classify_pairs")
+    verified = _count_calls(monkeypatch, "verify_realization")
+    out = solve(inst)
+    assert out.is_realizable and out.method == route
+    assert len(classified) == 1
+    assert len(verified) <= 1
+
+
+def _relabeled(inst, perm):
+    degrees = [0] * inst.vertex_count
+    for v, d in enumerate(inst.degrees):
+        degrees[perm[v]] = d
+    return GrcInstance(tuple(degrees), tuple(
+        CutConstraint(tuple(perm[v] for v in c.members), c.ell) for c in inst.cuts))
+
+
+def _complemented(inst):
+    n = inst.vertex_count
+    return GrcInstance(inst.degrees, tuple(
+        CutConstraint(tuple(v for v in range(n) if v not in c.members), c.ell)
+        for c in inst.cuts))
+
+
+@st.composite
+def small_instances(draw):
+    """n <= 7, cut sets of size <= 3; demands read off a planted graph, or drawn."""
+    n = draw(st.integers(2, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = SimpleGraph(n, [p for p in pairs if draw(st.booleans())])
+    cuts = []
+    for _ in range(draw(st.integers(0, 4))):
+        members = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(3, n - 1)))
+        planted = cut_size(g, members)
+        cuts.append(CutConstraint(tuple(members), draw(st.sampled_from(
+            [planted, planted, max(planted - 2, 0), planted + 2]))))
+    return GrcInstance(g.degree_sequence(), tuple(cuts))
+
+
+def _decide(inst):
+    out = solve(inst)
+    assert out.status is not Status.RESOURCE_LIMIT
+    if out.is_realizable:
+        assert verify_realization(out.witness, inst).ok
+    return out.is_realizable
+
+
+@settings(derandomize=True, max_examples=300)
+@given(small_instances(), st.data())
+def test_relabeling_keeps_the_decision(inst, data):
+    perm = data.draw(st.permutations(range(inst.vertex_count)))
+    assert _decide(inst) == _decide(_relabeled(inst, perm))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(small_instances())
+def test_complementing_cut_sets_keeps_the_decision(inst):
+    assert _decide(inst) == _decide(_complemented(inst))

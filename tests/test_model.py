@@ -74,6 +74,11 @@ class TestInstanceValidation:
         c = CutConstraint((2, 0, 2), 1)
         assert c.members == (0, 2)
 
+    def test_rejects_bool_ell(self):
+        for flag in (True, False):
+            with pytest.raises(InvalidInstanceError, match="natural number"):
+                CutConstraint((0, 1), flag)
+
 
 class TestCutSize:
     def test_triangle_single_vertex(self):

@@ -11,6 +11,7 @@ from grc import (
     enumerate_realizations,
     oracle_solve,
     sat_brute,
+    solve,
     tdm_brute,
     verify_realization,
 )
@@ -57,6 +58,14 @@ class TestOracleSolve:
             pruned = oracle_solve(inst)
             plain = oracle_solve(inst, prune=False)
             assert pruned.status == plain.status, inst
+
+    @pytest.mark.parametrize("n", [46, 60])
+    def test_deep_search_is_not_bounded_by_recursion(self, n):
+        # more undecided pairs than Python's default recursion limit
+        inst = GrcInstance((1,) * n, (CutConstraint((0, 1, 2, 3), 4),))
+        out = solve(inst)
+        assert out.method == "oracle" and out.is_realizable
+        assert verify_realization(out.witness, inst).ok
 
     def test_deterministic_witness(self):
         inst = GrcInstance((1, 1, 1, 1))

@@ -127,7 +127,8 @@ class TestEliminateFixedEdges:
         assert size3 == [CutConstraint((0, 1, 2), 0)]
 
     def test_chained_elimination(self):
-        # eliminating (0,1) re-classifies (1,2) as fixed under the new degrees
+        # both pairs are fixed from the start (for (1,2): ell = d_1 + d_2 - 2 = 1);
+        # eliminating (0,1) first leaves (1,2) fixed under the new degrees
         inst = GrcInstance((1, 2, 1),
                            (CutConstraint((0, 1), 1), CutConstraint((1, 2), 1)))
         reduced, trace = eliminate_fixed_edges(inst)
