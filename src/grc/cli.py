@@ -4,8 +4,10 @@ Subcommands: solve, verify, reduce3, oracle, degseq, ffactor, gen sat13,
 gen 3dm.  Instance/graph arguments are JSON files; "-" reads standard input.
 All outputs are newline-terminated single-line JSON for pipeline composition.
 Exit codes: 0 for any completed decision (yes or no), 2 for invalid input or
-usage, 3 when the node budget runs out.  The environment variable GRC_BUDGET
-overrides the default node budget; a --budget flag overrides both.
+usage, 3 when the node budget runs out, 4 when an internal consistency check
+fails (a bug, reported on one "error: internal: ..." line).  The environment
+variable GRC_BUDGET overrides the default node budget; a --budget flag
+overrides both.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .solver import METHODS, MethodNotApplicable, solve
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(doc) -> None:
@@ -277,6 +280,9 @@ def cli_main(argv=None) -> int:
     except (ValueError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except RuntimeError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -7,15 +7,25 @@ becomes a single edge between the corresponding externals.  Perfect matchings
 of the expansion correspond exactly to subgraphs of the host in which every
 vertex v has degree f(v).
 
+``solve_f_factor`` builds that expansion only for what is left undecided.  It
+first prunes the host: a vertex with f(v) = 0 drops its edges, and one with
+f(v) = deg(v) takes them all, lowering its neighbours' targets, until neither
+rule applies (a contradiction on the way means no factor).  On the rest r it
+uses that F is an f-factor exactly when r - F is a (deg_r - f)-factor, and
+expands whichever side has the smaller sum of deg(v) times core count.
+
 The matching engine is an augmenting-path search with blossom shrinking,
-deterministic by fixed ascending scan order.  One engine call uses internal
-mutable state; independent solves can run in parallel on separate calls.
+deterministic by fixed ascending scan order.  Each blossom base keeps the
+list of its vertices, so a contraction relabels only the vertices of the
+bases it absorbs.  One engine call uses internal mutable state; independent
+solves can run in parallel on separate calls.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 
 from .model import (
     Contradiction,
@@ -59,6 +69,7 @@ def max_matching(g: SimpleGraph) -> frozenset[tuple[int, int]]:
 def _augment_from(root: int, adj, match, n) -> bool:
     parent = [-1] * n
     base = list(range(n))
+    members: dict[int, list[int]] = {}  # base -> its vertices, for blossoms of two or more
     used = [False] * n
     used[root] = True
     queue = deque([root])
@@ -69,15 +80,23 @@ def _augment_from(root: int, adj, match, n) -> bool:
                 continue
             if to == root or (match[to] != -1 and parent[match[to]] != -1):
                 stem = _lowest_common_base(v, to, match, parent, base)
-                in_blossom = [False] * n
-                _mark_blossom_path(v, stem, to, match, parent, base, in_blossom)
-                _mark_blossom_path(to, stem, v, match, parent, base, in_blossom)
-                for i in range(n):
-                    if in_blossom[base[i]]:
+                marked: set[int] = set()
+                _mark_blossom_path(v, stem, to, match, parent, base, marked)
+                _mark_blossom_path(to, stem, v, match, parent, base, marked)
+                # Relabel exactly the vertices whose base is marked, and queue
+                # the new ones in ascending order, as a scan over all would.
+                blossom = [] if stem in marked else members.pop(stem, [stem])
+                fresh = []
+                for b in marked:
+                    for i in members.pop(b, (b,)):
                         base[i] = stem
+                        blossom.append(i)
                         if not used[i]:
                             used[i] = True
-                            queue.append(i)
+                            fresh.append(i)
+                fresh.sort()
+                queue.extend(fresh)
+                members[stem] = blossom
             elif parent[to] == -1:
                 parent[to] = v
                 if match[to] == -1:
@@ -102,10 +121,10 @@ def _lowest_common_base(a: int, b: int, match, parent, base) -> int:
     return y
 
 
-def _mark_blossom_path(v: int, stem: int, child: int, match, parent, base, in_blossom) -> None:
+def _mark_blossom_path(v: int, stem: int, child: int, match, parent, base, marked: set[int]) -> None:
     while base[v] != stem:
-        in_blossom[base[v]] = True
-        in_blossom[base[match[v]]] = True
+        marked.add(base[v])
+        marked.add(base[match[v]])
         parent[v] = child
         child = match[v]
         v = parent[match[v]]
@@ -180,17 +199,67 @@ def tutte_gadget(host: SimpleGraph, f) -> GadgetMatchingGraph | None:
         SimpleGraph(nxt, frozenset(gadget_edges)), edge_reps, tuple(externals), tuple(cores))
 
 
-def solve_f_factor(host: SimpleGraph, f) -> SimpleGraph | None:
-    """Spanning subgraph of ``host`` where vertex v has degree exactly f[v], or None."""
-    gadget = tutte_gadget(host, f)
-    if gadget is None:
+def _prune(host: SimpleGraph, targets: FactorFunction
+           ) -> tuple[list[tuple[int, int]], SimpleGraph, list[int]] | None:
+    """Settle the host edges that every f-factor takes or leaves.
+
+    A vertex with target 0 keeps none of its edges, and one whose target is
+    its degree keeps all of them; each rule lowers its neighbours' degrees or
+    targets, so both repeat until neither applies.  Returns the taken edges,
+    the undecided rest of the host and the targets left on it, or None when
+    the rules show that no f-factor exists.
+    """
+    n = host.vertex_count
+    need = list(targets)
+    adj = host.adjacency()
+    taken: list[tuple[int, int]] = []
+    work = [v for v in range(n) if need[v] in (0, len(adj[v]))]
+    while work:
+        v = work.pop()
+        if not adj[v] or need[v] not in (0, len(adj[v])):
+            continue  # settled already, or no longer at either bound
+        take = need[v] > 0
+        for w in adj[v]:
+            adj[w].discard(v)
+            if take:
+                if need[w] == 0:
+                    return None
+                need[w] -= 1
+                taken.append((v, w) if v < w else (w, v))
+            if need[w] in (0, len(adj[w])):
+                work.append(w)
+        adj[v] = set()
+        need[v] = 0
+    if any(need[v] > len(adj[v]) for v in range(n)):
         return None
+    rest = SimpleGraph(n, frozenset((v, w) for v in range(n) for w in adj[v] if v < w))
+    return taken, rest, need
+
+
+def solve_f_factor(host: SimpleGraph, f) -> SimpleGraph | None:
+    """Spanning subgraph of ``host`` where vertex v has degree exactly f[v], or None.
+
+    Forced edges are settled first (``_prune``).  On the rest r, F is an
+    f-factor exactly when r - F is a (deg_r - f)-factor, so the expansion is
+    built for whichever targets give it fewer edges.
+    """
+    targets = _check_targets(host, f)
+    pruned = _prune(host, targets)
+    if pruned is None:
+        return None
+    taken, rest, need = pruned
+    degs = rest.degree_sequence()
+    spare = [d - x for d, x in zip(degs, need)]
+    complement = sum(map(mul, degs, need)) < sum(map(mul, degs, spare))
+    gadget = tutte_gadget(rest, spare if complement else need)
     matching = max_matching(gadget.graph)
     if 2 * len(matching) != gadget.graph.vertex_count:
         return None
-    chosen = [edge for edge, rep in sorted(gadget.edge_reps.items()) if rep in matching]
-    result = SimpleGraph(host.vertex_count, frozenset(chosen))
-    if result.degree_sequence() != _check_targets(host, f):
+    chosen = {edge for edge, rep in gadget.edge_reps.items() if rep in matching}
+    if complement:
+        chosen = rest.edges - chosen
+    result = SimpleGraph(host.vertex_count, chosen.union(taken))
+    if result.degree_sequence() != targets:
         raise RuntimeError("perfect matching of the expansion does not map to the targets")
     return result
 

@@ -182,8 +182,11 @@ def verify_realization(g: SimpleGraph, inst: GrcInstance) -> VerificationReport:
     for v in range(inst.vertex_count):
         if degs[v] != inst.degrees[v]:
             violations.append(f"vertex {v}: degree {degs[v]} != required {inst.degrees[v]}")
+    # A cut's size is the degree sum of its set minus twice the edges inside.
+    adj = g.adjacency()
     for cut in inst.cuts:
-        actual = cut_size(g, cut.members)
+        inside = set(cut.members)
+        actual = sum(degs[v] - len(adj[v] & inside) for v in inside)
         if actual != cut.ell:
             violations.append(f"cut {cut.members}: size {actual} != required {cut.ell}")
     return VerificationReport(not violations, tuple(violations))

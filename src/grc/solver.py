@@ -20,7 +20,7 @@ from .model import (
 )
 from .ffactor import solve_width2
 from .oracle import DEFAULT_NODE_BUDGET, oracle_solve
-from .preprocess import as_core, possibility_graph, screen_instance
+from .preprocess import Core, as_core, possibility_graph, screen_instance
 from .reduce3 import UnsafeReduction, reduce_to_width2
 from .treesolve import is_forest, solve_tree
 
@@ -33,6 +33,13 @@ METHODS = ("auto", "tree", "ffactor", "reduce3", "oracle")
 
 class MethodNotApplicable(ValueError):
     """A forced method cannot run on this instance."""
+
+
+def _forest(core: Core) -> bool:
+    """Whether the Core's possibility graph is a forest; it is built only when
+    it has at most n - 1 edges, as every forest does."""
+    n = core.vertex_count
+    return n * (n - 1) // 2 - len(core.forbidden) <= n - 1 and is_forest(possibility_graph(core))
 
 
 def solve(inst: GrcInstance, *, method: str = "auto",
@@ -57,9 +64,9 @@ def solve(inst: GrcInstance, *, method: str = "auto",
     route = method
     if method == "auto":
         w = width(norm)
-        route = ("tree" if is_forest(possibility_graph(core))
+        route = ("tree" if _forest(core)
                  else "ffactor" if w <= 2 else "reduce3" if w == 3 else "oracle")
-    elif method == "tree" and not is_forest(possibility_graph(core)):
+    elif method == "tree" and not _forest(core):
         raise MethodNotApplicable("possibility graph is not a tree or forest")
 
     if route == "tree":

@@ -5,6 +5,8 @@ import sys
 from grc import (
     CutConstraint,
     GrcInstance,
+    SimpleGraph,
+    SolveOutcome,
     graph_from_json,
     instance_to_json,
     verify_realization,
@@ -72,6 +74,16 @@ class TestSolve:
         path = write_instance(tmp_path, GrcInstance((1, 1, 1, 1)))
         code, _, err = run_cli(capsys, "solve", path, "--method", "tree")
         assert code == 2 and "error" in err
+
+    def test_failed_witness_check_exits_four(self, tmp_path, capsys, monkeypatch):
+        # K4 goes to the matching route; hand back an empty graph as its witness.
+        monkeypatch.setattr("grc.solver.solve_width2",
+                            lambda core: SolveOutcome.realizable(SimpleGraph(4), "ffactor"))
+        path = write_instance(tmp_path, GrcInstance((1, 1, 1, 1)))
+        code, out, err = run_cli(capsys, "solve", path)
+        assert code == 4 and out == ""
+        assert err.startswith("error: internal: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         path = write_instance(tmp_path, GrcInstance((2, 2, 2)))

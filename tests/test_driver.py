@@ -160,15 +160,15 @@ def test_determinism():
 
 
 def _count_calls(monkeypatch, name):
-    """Count calls of ``name`` at every grc module that binds it."""
+    """Record the value of each call of ``name`` at every grc module that binds it."""
     calls = []
     for module in (grc.preprocess, grc.reduce3, grc.solver, grc.ffactor,
                    grc.treesolve, grc.oracle, grc.hardness):
         original = getattr(module, name, None)
         if original is not None:
             def counted(*args, _original=original, **kwargs):
-                calls.append(name)
-                return _original(*args, **kwargs)
+                calls.append(_original(*args, **kwargs))
+                return calls[-1]
             monkeypatch.setattr(module, name, counted)
     return calls
 
@@ -204,6 +204,25 @@ def test_each_stage_runs_once(monkeypatch, make, route):
     assert out.is_realizable and out.method == route
     assert len(classified) == 1
     assert len(verified) <= 1
+
+
+def test_forced_matching_builds_no_gadget(monkeypatch):
+    # all degrees 1, a perfect matching forced by disjoint pair cuts of demand 0
+    inst = GrcInstance((1,) * 40, tuple(CutConstraint((i, i + 1), 0) for i in range(0, 40, 2)))
+    gadgets = _count_calls(monkeypatch, "tutte_gadget")
+    hosts = _count_calls(monkeypatch, "possibility_graph")
+    out = solve(inst)
+    assert out.is_realizable and out.method == "ffactor"
+    assert all(g.graph.vertex_count == 0 for g in gadgets)
+    assert len(hosts) == 1
+
+
+def test_saturated_vertex_decides_no_without_gadget(monkeypatch):
+    # vertex 0 takes every edge, which leaves 1..4 at target 0 and strands vertex 5
+    gadgets = _count_calls(monkeypatch, "tutte_gadget")
+    out = solve(GrcInstance((5, 1, 1, 1, 1, 3)))
+    assert not out.is_realizable and out.method == "ffactor"
+    assert gadgets == []
 
 
 def _relabeled(inst, perm):

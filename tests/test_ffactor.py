@@ -169,3 +169,21 @@ class TestSolveWidth2:
             inst = random_width2_instance(rng, n_max=7)
             out = solve_width2(inst)
             assert out.is_realizable == oracle_solve(inst).is_realizable, inst
+
+
+class TestAgainstNetworkx:
+    def test_matching_cardinality(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(61)
+        graphs = [random_graph(rng, rng.randint(2, 60), rng.choice((0.03, 0.08, 0.3)))
+                  for _ in range(40)]
+        for _ in range(40):
+            host = random_graph(rng, rng.randint(3, 8))
+            f = [rng.randint(0, d) for d in host.degree_sequence()]
+            graphs.append(tutte_gadget(host, f).graph)
+        for g in graphs:
+            ref = nx.Graph()
+            ref.add_nodes_from(range(g.vertex_count))
+            ref.add_edges_from(g.edges)
+            assert len(max_matching(g)) == len(nx.max_weight_matching(ref, maxcardinality=True))
+
