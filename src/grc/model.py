@@ -7,6 +7,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,20 +20,42 @@ class Contradiction(Exception):
     """The constraints are provably unsatisfiable by any simple graph."""
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool or a non-integral value raises, it is never truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInstanceError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CutConstraint:
-    """Demands that the edge cut of ``members`` contain exactly ``ell`` edges."""
+    """Demands that the edge cut of ``members`` contain exactly ``ell`` edges.
+
+    ``members`` is stored sorted and without repeats.  A tuple of two Python
+    ints in ascending order is already canonical and is kept as it is, so an
+    explicit pair cut costs O(1); any other input is converted entry by entry
+    (a bool or non-integral index raises), deduplicated and sorted.  On both
+    paths the set must be nonempty with nonnegative indices, and ``ell`` must
+    be a natural number that is not a bool.
+    """
 
     members: tuple[int, ...]
     ell: int
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted(set(int(v) for v in self.members)))
-        object.__setattr__(self, "members", canon)
-        if not canon:
-            raise InvalidInstanceError("cut set must be nonempty")
-        if canon[0] < 0:
-            raise InvalidInstanceError(f"cut set holds a negative vertex index: {canon}")
+        members = self.members
+        if not (type(members) is tuple and len(members) == 2 and type(members[0]) is int
+                and type(members[1]) is int and 0 <= members[0] < members[1]):
+            members = tuple(sorted({v if type(v) is int else _integer(v, "cut set vertex index")
+                                    for v in members}))
+            object.__setattr__(self, "members", members)
+            if not members:
+                raise InvalidInstanceError("cut set must be nonempty")
+            if members[0] < 0:
+                raise InvalidInstanceError(f"cut set holds a negative vertex index: {members}")
         if not isinstance(self.ell, int) or isinstance(self.ell, bool) or self.ell < 0:
             raise InvalidInstanceError(f"cut size must be a natural number, got {self.ell!r}")
 
@@ -94,7 +117,7 @@ class GrcInstance:
     cuts: tuple[CutConstraint, ...] = ()
 
     def __post_init__(self) -> None:
-        degrees = tuple(int(d) for d in self.degrees)
+        degrees = tuple(d if type(d) is int else _integer(d, "degree") for d in self.degrees)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "cuts", tuple(self.cuts))
         n = len(degrees)
@@ -173,7 +196,12 @@ def degree_sum(inst: GrcInstance, s) -> int:
 
 
 def verify_realization(g: SimpleGraph, inst: GrcInstance) -> VerificationReport:
-    """Check every degree target and every cut constraint; list all failures."""
+    """Check every degree target and every cut constraint; list all failures.
+
+    A cut's size is counted from one adjacency build as the degree sum of its
+    set minus twice the edges inside; a pair cut {u, v} is d_u + d_v minus 2
+    when uv is an edge, in O(1).
+    """
     if g.vertex_count != inst.vertex_count:
         raise ValueError(
             f"graph has {g.vertex_count} vertices but instance has {inst.vertex_count}")
@@ -182,11 +210,14 @@ def verify_realization(g: SimpleGraph, inst: GrcInstance) -> VerificationReport:
     for v in range(inst.vertex_count):
         if degs[v] != inst.degrees[v]:
             violations.append(f"vertex {v}: degree {degs[v]} != required {inst.degrees[v]}")
-    # A cut's size is the degree sum of its set minus twice the edges inside.
     adj = g.adjacency()
     for cut in inst.cuts:
-        inside = set(cut.members)
-        actual = sum(degs[v] - len(adj[v] & inside) for v in inside)
+        if len(cut.members) == 2:
+            u, v = cut.members
+            actual = degs[u] + degs[v] - (2 if v in adj[u] else 0)
+        else:
+            inside = set(cut.members)
+            actual = sum(degs[v] - len(adj[v] & inside) for v in inside)
         if actual != cut.ell:
             violations.append(f"cut {cut.members}: size {actual} != required {cut.ell}")
     return VerificationReport(not violations, tuple(violations))
@@ -208,11 +239,11 @@ def normalize(inst: GrcInstance) -> GrcInstance:
     cut is identical); a half-sized set keeps the variant containing vertex 0.
     Single-vertex sets are degree statements: contradicting ones raise
     Contradiction, matching ones are dropped.  Duplicate sets are deduplicated;
-    the same set demanded with two different sizes raises Contradiction.
+    the same set demanded with two different sizes raises Contradiction.  A
+    cut that is not complemented is kept as the same object.
     """
     n = inst.vertex_count
-    seen: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
+    kept: dict[tuple[int, ...], CutConstraint] = {}
     for cut in inst.cuts:
         members = cut.members
         size = len(members)
@@ -225,14 +256,14 @@ def normalize(inst: GrcInstance) -> GrcInstance:
                 raise Contradiction(
                     f"cut on single vertex {v} demands {cut.ell} but its degree is {inst.degrees[v]}")
             continue
-        if members in seen:
-            if seen[members] != cut.ell:
+        first = kept.get(members)
+        if first is not None:
+            if first.ell != cut.ell:
                 raise Contradiction(
-                    f"cut set {members} demanded with two different sizes {seen[members]} and {cut.ell}")
+                    f"cut set {members} demanded with two different sizes {first.ell} and {cut.ell}")
             continue
-        seen[members] = cut.ell
-        order.append(members)
-    return GrcInstance(inst.degrees, tuple(CutConstraint(m, seen[m]) for m in order))
+        kept[members] = cut if members is cut.members else CutConstraint(members, cut.ell)
+    return GrcInstance(inst.degrees, tuple(kept.values()))
 
 
 def complete_graph(n: int) -> SimpleGraph:
@@ -257,8 +288,9 @@ def instance_to_json(inst: GrcInstance) -> dict:
 def instance_from_json(doc) -> GrcInstance:
     if not isinstance(doc, dict):
         raise InvalidInstanceError("instance document must be a JSON object")
-    if doc.get("version", 1) != 1:
-        raise InvalidInstanceError(f"unsupported instance document version {doc.get('version')!r}")
+    version = doc.get("version", 1)
+    if not isinstance(version, int) or isinstance(version, bool) or version != 1:
+        raise InvalidInstanceError(f"unsupported instance document version {version!r}")
     degrees = doc.get("degrees")
     if not isinstance(degrees, list) or not all(isinstance(d, int) and not isinstance(d, bool) for d in degrees):
         raise InvalidInstanceError('"degrees" must be a list of integers')
@@ -270,7 +302,10 @@ def instance_from_json(doc) -> GrcInstance:
         if not isinstance(item, dict) or "set" not in item or "ell" not in item:
             raise InvalidInstanceError(f'cut entries need "set" and "ell": {item!r}')
         members = item["set"]
-        if not isinstance(members, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in members):
+        if (type(members) is list and len(members) == 2
+                and type(members[0]) is int and type(members[1]) is int):
+            pass  # a pair of plain ints, checked without a generator
+        elif not isinstance(members, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in members):
             raise InvalidInstanceError(f'cut "set" must be a list of integers: {members!r}')
         if not isinstance(item["ell"], int) or isinstance(item["ell"], bool):
             raise InvalidInstanceError(f'cut "ell" must be an integer: {item["ell"]!r}')

@@ -105,16 +105,24 @@ def feasible_ell_set(inst: GrcInstance, s) -> frozenset[int]:
 def screen_instance(inst: GrcInstance) -> None:
     """Necessary realizability checks; raises Contradiction when one fails.
 
-    Passing is necessary but not sufficient.
+    Passing is necessary but not sufficient.  A cut's demand is tested by
+    arithmetic, exactly as membership in ``feasible_ell_set``: with gap =
+    d(S) - ell, it needs gap >= 0, gap even and gap / 2 <= C(|S|, 2).  The
+    instance's cut sets are trusted as validated by ``GrcInstance``.
     """
-    n = inst.vertex_count
-    for v, d in enumerate(inst.degrees):
+    n, degrees = inst.vertex_count, inst.degrees
+    for v, d in enumerate(degrees):
         if d > n - 1:
             raise Contradiction(f"vertex {v} demands degree {d} but only {n - 1} partners exist")
-    if sum(inst.degrees) % 2:
+    if sum(degrees) % 2:
         raise Contradiction("sum of degrees is odd")
     for cut in inst.cuts:
-        if cut.ell not in feasible_ell_set(inst, cut.members):
+        s = cut.members
+        k = len(s)
+        total = degrees[s[0]] + degrees[s[1]] if k == 2 else sum([degrees[v] for v in s])
+        gap = total - cut.ell
+        # an even gap of 2j means j edges inside S, of at most C(k, 2) = k(k-1)/2
+        if gap < 0 or gap % 2 or gap > k * (k - 1):
             raise Contradiction(
                 f"cut {cut.members} demands size {cut.ell}, outside the attainable sizes")
 

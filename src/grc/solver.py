@@ -13,6 +13,7 @@ from __future__ import annotations
 from .model import (
     Contradiction,
     GrcInstance,
+    SimpleGraph,
     SolveOutcome,
     normalize,
     verify_realization,
@@ -22,11 +23,12 @@ from .ffactor import solve_width2
 from .oracle import DEFAULT_NODE_BUDGET, oracle_solve
 from .preprocess import Core, as_core, possibility_graph, screen_instance
 from .reduce3 import UnsafeReduction, reduce_to_width2
-from .treesolve import is_forest, solve_tree
+from .treesolve import _solve_on_forest, is_forest
 
 # perfbench/tracing.py wraps these names in this module.
 from .preprocess import eliminate_fixed_edges  # noqa: F401
 from .reduce3 import lift_realization  # noqa: F401
+from .treesolve import solve_tree  # noqa: F401
 
 METHODS = ("auto", "tree", "ffactor", "reduce3", "oracle")
 
@@ -35,11 +37,14 @@ class MethodNotApplicable(ValueError):
     """A forced method cannot run on this instance."""
 
 
-def _forest(core: Core) -> bool:
-    """Whether the Core's possibility graph is a forest; it is built only when
-    it has at most n - 1 edges, as every forest does."""
+def _forest(core: Core) -> SimpleGraph | None:
+    """The Core's possibility graph when it is a forest, else None; it is
+    built only when it has at most n - 1 edges, as every forest does."""
     n = core.vertex_count
-    return n * (n - 1) // 2 - len(core.forbidden) <= n - 1 and is_forest(possibility_graph(core))
+    if n * (n - 1) // 2 - len(core.forbidden) > n - 1:
+        return None
+    host = possibility_graph(core)
+    return host if is_forest(host) else None
 
 
 def solve(inst: GrcInstance, *, method: str = "auto",
@@ -62,15 +67,16 @@ def solve(inst: GrcInstance, *, method: str = "auto",
             str(exc), method="preprocess" if method == "auto" else method)
 
     route = method
+    forest = _forest(core) if method in ("auto", "tree") else None
     if method == "auto":
         w = width(norm)
-        route = ("tree" if _forest(core)
+        route = ("tree" if forest is not None
                  else "ffactor" if w <= 2 else "reduce3" if w == 3 else "oracle")
-    elif method == "tree" and not _forest(core):
+    elif method == "tree" and forest is None:
         raise MethodNotApplicable("possibility graph is not a tree or forest")
 
     if route == "tree":
-        outcome = solve_tree(core)
+        outcome = _solve_on_forest(core, forest, core)
     elif route == "ffactor":
         outcome = solve_width2(core)
     elif route == "reduce3":

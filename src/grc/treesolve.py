@@ -84,6 +84,12 @@ def solve_tree(inst: GrcInstance | Core) -> SolveOutcome:
     host = possibility_graph(core)
     if not is_forest(host):
         raise ValueError("possibility graph is not a tree or forest")
+    return _solve_on_forest(core, host, inst)
+
+
+def _solve_on_forest(core: Core, host: SimpleGraph, source: GrcInstance | Core) -> SolveOutcome:
+    """``solve_tree`` on a Core whose possibility graph ``host`` is known to
+    be a forest; the witness is verified against ``source`` as in ``realized``."""
     chosen = _peel(host, core.degrees)
     if chosen is None:
         return SolveOutcome.infeasible("leaf peeling cannot meet the degree targets", method="tree")
@@ -95,4 +101,4 @@ def solve_tree(inst: GrcInstance | Core) -> SolveOutcome:
         return SolveOutcome.infeasible(
             "the unique degree-exact subgraph violates constraints: "
             + "; ".join(violations), method="tree")
-    return realized(lift_realization(core.trace, peeled), inst, "tree")
+    return realized(lift_realization(core.trace, peeled), source, "tree")

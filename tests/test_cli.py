@@ -50,6 +50,12 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", str(bad))
         assert code == 2 and "error" in err
 
+    def test_non_integer_version_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"version": true, "degrees": [1, 1]}')
+        code, out, err = run_cli(capsys, "solve", str(bad))
+        assert code == 2 and out == "" and "unsupported instance document version" in err
+
     def test_deep_oracle_search_exits_zero(self, tmp_path, capsys):
         inst = GrcInstance((1,) * 46, (CutConstraint((0, 1, 2, 3), 4),))
         code, out, _ = run_cli(capsys, "solve", write_instance(tmp_path, inst))

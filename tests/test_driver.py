@@ -200,10 +200,12 @@ def test_each_stage_runs_once(monkeypatch, make, route):
     inst = make()
     classified = _count_calls(monkeypatch, "_classify_pairs")
     verified = _count_calls(monkeypatch, "verify_realization")
+    hosts = _count_calls(monkeypatch, "possibility_graph")
     out = solve(inst)
     assert out.is_realizable and out.method == route
     assert len(classified) == 1
     assert len(verified) <= 1
+    assert len(hosts) == 1
 
 
 def test_forced_matching_builds_no_gadget(monkeypatch):

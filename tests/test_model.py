@@ -22,6 +22,7 @@ from grc import (
     verify_realization,
     width,
 )
+from grc.hardness import OneInThreeInstance, monotone_to_21, sat_to_grc
 from tests.bruteforce import all_graphs, satisfies
 
 
@@ -73,6 +74,24 @@ class TestInstanceValidation:
     def test_cut_members_sorted_dedup(self):
         c = CutConstraint((2, 0, 2), 1)
         assert c.members == (0, 2)
+        # a canonical pair is kept as given and equals the same set built any other way
+        assert CutConstraint((0, 2), 1) == CutConstraint([2, 0, 2], 1) == c
+
+    def test_rejects_non_integral_entries(self):
+        # entries are never truncated: floats, strings and bools are refused
+        for members in ((0.9, 2.7), (0, 2.0), (True, 2), (0, False, 3), ("0", "2")):
+            with pytest.raises(InvalidInstanceError, match="vertex index"):
+                CutConstraint(members, 1)
+        for degrees in ((1.9, 1.2, 0.5), (True, True), (1, 1.0), ("1", "1")):
+            with pytest.raises(InvalidInstanceError, match="degree"):
+                GrcInstance(degrees)
+
+    def test_pair_path_keeps_every_check(self):
+        with pytest.raises(InvalidInstanceError, match="negative"):
+            CutConstraint((-1, 2), 0)
+        for ell in (-1, 1.0):
+            with pytest.raises(InvalidInstanceError, match="natural number"):
+                CutConstraint((0, 1), ell)
 
     def test_rejects_bool_ell(self):
         for flag in (True, False):
@@ -157,6 +176,17 @@ class TestVerifyRealization:
         report = verify_realization(SimpleGraph(3), inst)
         assert len(report.violations) == 4  # three degrees and one cut
 
+    @given(graphs())
+    def test_pair_and_triple_cuts_agree_with_cut_size(self, g):
+        n = g.vertex_count
+        sets = [s for k in (2, 3) if k < n for s in itertools.combinations(range(n), k)]
+        exact = tuple(CutConstraint(s, cut_size(g, s)) for s in sets)
+        assert verify_realization(g, GrcInstance(g.degree_sequence(), exact)).ok
+        off = tuple(CutConstraint(c.members, c.ell + 1) for c in exact)
+        report = verify_realization(g, GrcInstance(g.degree_sequence(), off))
+        assert report.violations == tuple(
+            f"cut {c.members}: size {c.ell - 1} != required {c.ell}" for c in off)
+
 
 class TestWidth:
     def test_mixed(self):
@@ -198,6 +228,16 @@ class TestNormalize:
         inst = GrcInstance((1,) * 6, (CutConstraint((0, 1, 2, 3), 2),))
         assert normalize(inst).cuts[0].members == (4, 5)
 
+    def test_reuses_every_cut_it_keeps(self, monkeypatch):
+        inst, _ = sat_to_grc(monotone_to_21(OneInThreeInstance(3, ((1, 2, 3), (1, 2)))), 1)
+        built = []
+        post_init = CutConstraint.__post_init__
+        monkeypatch.setattr(CutConstraint, "__post_init__",
+                            lambda cut: built.append(cut) or post_init(cut))
+        norm = normalize(inst)
+        assert built == []
+        assert all(a is b for a, b in zip(norm.cuts, inst.cuts, strict=True))
+
     def test_verification_invariant_under_normalize(self):
         # exhaustive over all graphs for a handful of small instances
         rng = random.Random(11)
@@ -238,8 +278,19 @@ class TestJson:
             instance_from_json({"degrees": [1, 1], "cuts": [{"set": [0]}]})
         with pytest.raises(InvalidInstanceError):
             instance_from_json({"version": 9, "degrees": [1, 1]})
+        for version in (True, 1.0, "1"):
+            with pytest.raises(InvalidInstanceError, match="unsupported instance document version"):
+                instance_from_json({"version": version, "degrees": [1, 1]})
+        for members in ([0, True], [0.0, 1], [0, "1"], (0, 1)):
+            with pytest.raises(InvalidInstanceError, match="list of integers"):
+                instance_from_json({"degrees": [1, 1, 0], "cuts": [{"set": members, "ell": 0}]})
         with pytest.raises(InvalidInstanceError):
             graph_from_json({"n": 2, "edges": [[0, 0]]})
+
+    def test_pair_sets_parse_like_any_set(self):
+        doc = {"degrees": [1, 1, 0, 0], "cuts": [{"set": [1, 0], "ell": 2}, {"set": [2, 2], "ell": 0},
+                                                 {"set": [0, 1], "ell": 2}]}
+        assert [c.members for c in instance_from_json(doc).cuts] == [(0, 1), (2,), (0, 1)]
 
     def test_complete_graph(self):
         assert len(complete_graph(4).edges) == 6

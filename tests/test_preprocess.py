@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -54,6 +55,29 @@ class TestScreen:
 
     def test_star_passes(self):
         screen_instance(GrcInstance((3, 1, 1, 1)))
+
+    def test_cut_test_is_membership_in_feasible_ell_set(self):
+        # exhaustive: n <= 5, one cut of size 2 or 3, every degree vector with
+        # d <= n - 1 and every demand up to two past the set's degree sum.  An
+        # odd degree sum is refused before any cut is read.
+        for n in range(3, 6):
+            for degrees in itertools.product(range(n), repeat=n):
+                base = GrcInstance(degrees)
+                if sum(degrees) % 2:
+                    with pytest.raises(Contradiction, match="odd"):
+                        screen_instance(GrcInstance(degrees, (CutConstraint((0, 1), 0),)))
+                    continue
+                for k in (2, 3):
+                    for s in itertools.combinations(range(n), k) if k < n else ():
+                        attainable = feasible_ell_set(base, s)
+                        for ell in range(sum(degrees[v] for v in s) + 3):
+                            try:
+                                screen_instance(GrcInstance(degrees, (CutConstraint(s, ell),)))
+                            except Contradiction:
+                                raised = True
+                            else:
+                                raised = False
+                            assert raised == (ell not in attainable), (degrees, s, ell)
 
 
 class TestPairLedger:
