@@ -67,14 +67,17 @@ def _write_json(path: str, doc) -> None:
 
 def _budget(args) -> int:
     if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("GRC_BUDGET")
-    if env is not None:
+        budget, source = args.budget, "--budget"
+    elif (env := os.environ.get("GRC_BUDGET")) is not None:
         try:
-            return int(env)
+            budget, source = int(env), "GRC_BUDGET"
         except ValueError:
             raise InvalidInstanceError(f"GRC_BUDGET must be an integer, got {env!r}") from None
-    return DEFAULT_NODE_BUDGET
+    else:
+        return DEFAULT_NODE_BUDGET
+    if budget < 0:
+        raise InvalidInstanceError(f"{source} must be nonnegative, got {budget}")
+    return budget
 
 
 def _outcome_exit(args, outcome) -> int:
@@ -121,6 +124,8 @@ def _cmd_reduce3(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.enumerate is not None and args.enumerate < 1:
+        raise InvalidInstanceError(f"--enumerate needs N >= 1, got {args.enumerate}")
     inst = instance_from_json(_load_json(args.instance))
     budget = _budget(args)
     if args.enumerate is not None:

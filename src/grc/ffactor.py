@@ -13,6 +13,8 @@ f(v) = deg(v) takes them all, lowering its neighbours' targets, until neither
 rule applies (a contradiction on the way means no factor).  On the rest r it
 uses that F is an f-factor exactly when r - F is a (deg_r - f)-factor, and
 expands whichever side has the smaller sum of deg(v) times core count.
+``solve_on_host`` decides both the tree route and the width-2 route this
+way; on a forest the pruning alone settles every edge.
 
 The matching engine is an augmenting-path search with blossom shrinking,
 deterministic by fixed ascending scan order.  Each blossom base keeps the
@@ -27,12 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import mul
 
-from .model import (
-    Contradiction,
-    GrcInstance,
-    SimpleGraph,
-    SolveOutcome,
-)
+from .model import Contradiction, GrcInstance, SimpleGraph, SolveOutcome, cut_size
 from .preprocess import Core, as_core, possibility_graph, realized
 from .reduce3 import lift_realization
 
@@ -146,8 +143,6 @@ class GadgetMatchingGraph:
 
     graph: SimpleGraph
     edge_reps: dict  # host edge (u, v) -> representative expansion edge
-    externals: tuple[tuple[int, ...], ...]
-    cores: tuple[tuple[int, ...], ...]
 
 
 def _check_targets(host: SimpleGraph, f) -> tuple[int, ...]:
@@ -169,8 +164,6 @@ def tutte_gadget(host: SimpleGraph, f) -> GadgetMatchingGraph | None:
         incident[u].append(idx)
         incident[v].append(idx)
     ext_of: dict[tuple[int, int], int] = {}
-    externals: list[tuple[int, ...]] = []
-    cores: list[tuple[int, ...]] = []
     gadget_edges: list[tuple[int, int]] = []
     nxt = 0
     for v in range(host.vertex_count):
@@ -181,13 +174,9 @@ def tutte_gadget(host: SimpleGraph, f) -> GadgetMatchingGraph | None:
             ext_of[(v, e)] = nxt
             ext.append(nxt)
             nxt += 1
-        core = list(range(nxt, nxt + len(incident[v]) - targets[v]))
-        nxt += len(core)
-        for c in core:
-            for x in ext:
-                gadget_edges.append((x, c))
-        externals.append(tuple(ext))
-        cores.append(tuple(core))
+        spare = len(incident[v]) - targets[v]  # core vertices of v
+        gadget_edges.extend((x, c) for c in range(nxt, nxt + spare) for x in ext)
+        nxt += spare
     edge_reps: dict[tuple[int, int], tuple[int, int]] = {}
     for idx, (u, v) in enumerate(host_edges):
         a, b = ext_of[(u, idx)], ext_of[(v, idx)]
@@ -195,8 +184,7 @@ def tutte_gadget(host: SimpleGraph, f) -> GadgetMatchingGraph | None:
             a, b = b, a
         gadget_edges.append((a, b))
         edge_reps[(u, v)] = (a, b)
-    return GadgetMatchingGraph(
-        SimpleGraph(nxt, frozenset(gadget_edges)), edge_reps, tuple(externals), tuple(cores))
+    return GadgetMatchingGraph(SimpleGraph(nxt, frozenset(gadget_edges)), edge_reps)
 
 
 def _prune(host: SimpleGraph, targets: FactorFunction
@@ -264,12 +252,38 @@ def solve_f_factor(host: SimpleGraph, f) -> SimpleGraph | None:
     return result
 
 
+def solve_on_host(core: Core, host: SimpleGraph, source: GrcInstance | Core,
+                  method: str) -> SolveOutcome:
+    """Decide ``core`` through a degree-exact subgraph of ``host``, its
+    possibility graph.
+
+    The factor meets the degrees and the pair verdicts by construction, so
+    only the Core's other cuts are checked on it.  The tree route relies on
+    the factor of a forest being unique: two f-factors differ by a nonempty
+    even-degree subgraph, which contains a cycle.  A width-2 Core keeps only
+    singleton cuts, which any factor meets when their demand is the degree.
+    The witness is lifted through the Core's trace and verified against
+    ``source`` as in ``realized``.
+    """
+    factor = solve_f_factor(host, core.degrees)
+    if factor is None:
+        return SolveOutcome.infeasible(
+            "possibility graph has no degree-exact spanning subgraph", method=method)
+    violations = [f"cut {s}: size {size} != required {ell}"
+                  for s, ell in core.cuts.items() if (size := cut_size(factor, s)) != ell]
+    if violations:
+        return SolveOutcome.infeasible(
+            "the unique degree-exact subgraph violates constraints: "
+            + "; ".join(violations), method=method)
+    return realized(lift_realization(core.trace, factor), source, method)
+
+
 def solve_width2(inst: GrcInstance | Core) -> SolveOutcome:
     """Decide an instance (or Core) whose cut sets all have size <= 2.
 
     Forced edges are eliminated, the survivors must form a degree-exact
-    subgraph of the possibility graph, and the witness is lifted back through
-    the Core's trace.
+    subgraph of the possibility graph (``solve_on_host``), and the witness is
+    lifted back through the Core's trace.
     """
     try:
         core = as_core(inst)
@@ -277,8 +291,4 @@ def solve_width2(inst: GrcInstance | Core) -> SolveOutcome:
         return SolveOutcome.infeasible(str(exc), method="ffactor")
     if any(len(s) > 2 for s in core.cuts):
         raise ValueError("solve_width2 needs all cut sets of size <= 2")
-    factor = solve_f_factor(possibility_graph(core), core.degrees)
-    if factor is None:
-        return SolveOutcome.infeasible(
-            "possibility graph has no degree-exact spanning subgraph", method="ffactor")
-    return realized(lift_realization(core.trace, factor), inst, "ffactor")
+    return solve_on_host(core, possibility_graph(core), inst, "ffactor")

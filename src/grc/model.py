@@ -326,10 +326,13 @@ def graph_from_json(doc) -> SimpleGraph:
     raw = doc.get("edges", [])
     if not isinstance(raw, list):
         raise InvalidInstanceError('"edges" must be a list of pairs')
-    edges = []
+    edges = set()
     for item in raw:
         if (not isinstance(item, list) or len(item) != 2
                 or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)):
             raise InvalidInstanceError(f"edge entries must be integer pairs: {item!r}")
-        edges.append((item[0], item[1]))
+        pair = (min(item), max(item))
+        if pair in edges:
+            raise InvalidInstanceError(f"edge {list(pair)} is listed twice")
+        edges.add(pair)
     return SimpleGraph(n, frozenset(edges))

@@ -1,10 +1,13 @@
 """Dispatch pipeline: normalize, screen, build the Core once, then pick a solver.
 
 The normalized instance becomes one Core (pair verdicts classified, forced
-edges eliminated), and every route reads that Core: leaf peeling when its
-possibility graph is a forest, the matching route when all cut sets have size
-<= 2, the size-3 rewrite plus matching when the guard admits it, and pruned
-exhaustive search otherwise (also as the fallback when the rewrite refuses).
+edges eliminated), and every route reads that Core.  Its degree-exact
+subgraph of the possibility graph (``ffactor.solve_on_host``) decides it when
+that graph is a forest (route "tree": the subgraph is unique, and the other
+cuts are checked on it) or when all cut sets have size <= 2 (route
+"ffactor").  Otherwise the size-3 rewrite plus matching runs when the guard
+admits it, and pruned exhaustive search when it does not or cut sets are
+larger.
 The witness of any route is verified once, against the instance as given.
 """
 
@@ -19,11 +22,11 @@ from .model import (
     verify_realization,
     width,
 )
-from .ffactor import solve_width2
+from .ffactor import solve_on_host, solve_width2
 from .oracle import DEFAULT_NODE_BUDGET, oracle_solve
 from .preprocess import Core, as_core, possibility_graph, screen_instance
 from .reduce3 import UnsafeReduction, reduce_to_width2
-from .treesolve import _solve_on_forest, is_forest
+from .treesolve import is_forest
 
 # perfbench/tracing.py wraps these names in this module.
 from .preprocess import eliminate_fixed_edges  # noqa: F401
@@ -76,7 +79,7 @@ def solve(inst: GrcInstance, *, method: str = "auto",
         raise MethodNotApplicable("possibility graph is not a tree or forest")
 
     if route == "tree":
-        outcome = _solve_on_forest(core, forest, core)
+        outcome = solve_on_host(core, forest, core, "tree")
     elif route == "ffactor":
         outcome = solve_width2(core)
     elif route == "reduce3":

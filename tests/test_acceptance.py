@@ -254,7 +254,7 @@ def test_criterion_09_classical_baseline():
             assert witness.degree_sequence() == tuple(seq), seq
 
 
-@criterion(10, "leaf peeling agrees with the oracle on 500 tree-possibility "
+@criterion(10, "the tree route agrees with the oracle on 500 tree-possibility "
                "instances and the unique-subgraph property holds")
 def test_criterion_10_tree_solver():
     rng = random.Random(0xCA)

@@ -76,6 +76,17 @@ class TestSolve:
         code, _, _ = run_cli(capsys, "solve", path, "--method", "oracle")
         assert code == 3
 
+    def test_negative_budget_exit_two(self, tmp_path, capsys):
+        path = write_instance(tmp_path, GrcInstance((1, 1)))
+        code, out, err = run_cli(capsys, "solve", path, "--budget", "-5")
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_negative_env_budget_exit_two(self, tmp_path, capsys, monkeypatch):
+        path = write_instance(tmp_path, GrcInstance((1, 1)))
+        monkeypatch.setenv("GRC_BUDGET", "-1")
+        code, out, err = run_cli(capsys, "solve", path)
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_inapplicable_method_exit_two(self, tmp_path, capsys):
         path = write_instance(tmp_path, GrcInstance((1, 1, 1, 1)))
         code, _, err = run_cli(capsys, "solve", path, "--method", "tree")
@@ -188,6 +199,12 @@ class TestOracleCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["count"] == 3 and doc["realizable"] is True
+
+    def test_enumerate_needs_a_positive_count(self, tmp_path, capsys):
+        path = write_instance(tmp_path, GrcInstance((1, 1)))
+        for count in ("0", "-1"):
+            code, out, err = run_cli(capsys, "oracle", path, "--enumerate", count)
+            assert code == 2 and out == "" and err.startswith("error:")
 
     def test_plain(self, tmp_path, capsys):
         path = write_instance(tmp_path, GrcInstance((2, 2, 2)))

@@ -219,6 +219,24 @@ def test_forced_matching_builds_no_gadget(monkeypatch):
     assert len(hosts) == 1
 
 
+def test_forest_route_is_the_matching_route(monkeypatch):
+    # a path host with a size-4 cut: no rewrite applies, and the f-factor
+    # route's pruning settles every edge, so the expansion it builds is empty
+    path = [(v, v + 1) for v in range(7)]
+    planted = SimpleGraph(8, [(0, 1), (2, 3), (3, 4), (6, 7)])
+    degrees = planted.degree_sequence()
+    cuts = [CutConstraint(p, degrees[p[0]] + degrees[p[1]])
+            for p in itertools.combinations(range(8), 2) if p not in path]
+    cuts.append(CutConstraint((0, 1, 2, 3), cut_size(planted, (0, 1, 2, 3))))
+    inst = GrcInstance(degrees, tuple(cuts))
+    assert width(normalize(inst)) == 4
+    gadgets = _count_calls(monkeypatch, "tutte_gadget")
+    out = solve(inst)
+    assert out.is_realizable and out.method == "tree"
+    assert out.witness == planted
+    assert gadgets and all(g.graph.vertex_count == 0 for g in gadgets)
+
+
 def test_saturated_vertex_decides_no_without_gadget(monkeypatch):
     # vertex 0 takes every edge, which leaves 1..4 at target 0 and strands vertex 5
     gadgets = _count_calls(monkeypatch, "tutte_gadget")

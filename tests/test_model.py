@@ -286,6 +286,9 @@ class TestJson:
                 instance_from_json({"degrees": [1, 1, 0], "cuts": [{"set": members, "ell": 0}]})
         with pytest.raises(InvalidInstanceError):
             graph_from_json({"n": 2, "edges": [[0, 0]]})
+        for edges in ([[0, 1], [1, 0]], [[0, 1], [0, 1]]):
+            with pytest.raises(InvalidInstanceError, match="listed twice"):
+                graph_from_json({"n": 2, "edges": edges})
 
     def test_pair_sets_parse_like_any_set(self):
         doc = {"degrees": [1, 1, 0, 0], "cuts": [{"set": [1, 0], "ell": 2}, {"set": [2, 2], "ell": 0},
