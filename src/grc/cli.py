@@ -53,10 +53,14 @@ def _emit(doc) -> None:
 
 
 def _load_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    # Nesting too deep for the decoder is invalid input, not an internal failure.
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except RecursionError as exc:
+        raise InvalidInstanceError(f"JSON document is nested too deeply: {exc}") from None
 
 
 def _write_json(path: str, doc) -> None:

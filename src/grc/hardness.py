@@ -27,7 +27,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .model import CutConstraint, GrcInstance, SimpleGraph, verify_realization
+from .model import (CutConstraint, GrcInstance, SimpleGraph, _checked_instance, _integer,
+                    _pair_cut, verify_realization)
 from .oracle import OneInThreeInstance, ThreeDMInstance
 
 
@@ -88,6 +89,24 @@ def monotone_to_21(f: OneInThreeInstance) -> OneInThreeInstance:
     return OneInThreeInstance(next_var, tuple(tuple(c) for c in new_clauses))
 
 
+def _forbid_the_rest(degrees: tuple[int, ...], blocks: list[CutConstraint],
+                     allowed: set[tuple[int, int]]) -> GrcInstance:
+    """``blocks`` followed by a cut of size d_u + d_v, which forbids the edge,
+    on every ascending pair outside ``allowed``.
+
+    Each block lies inside the vertex range and has fewer members than it, and
+    each generated pair is two ascending ints with a natural size, so with
+    three or more vertices every cut is built once and not checked again.
+    Below three a pair is the whole vertex set, which ``GrcInstance`` rejects.
+    """
+    total = len(degrees)
+    pairs = [_pair_cut(u, v, degrees[u] + degrees[v])
+             for u, v in itertools.combinations(range(total), 2) if (u, v) not in allowed]
+    if total < 3:
+        return GrcInstance(degrees, (*blocks, *pairs))
+    return _checked_instance(degrees, (*blocks, *pairs))
+
+
 @dataclass(frozen=True)
 class SatGadgetMap:
     """Vertex roles for a sat_to_grc instance, keyed by vertex index."""
@@ -137,6 +156,7 @@ def sat_to_grc(f: OneInThreeInstance, k: int, all_ones: bool = False):
     problems = two_one_violations(f)
     if problems:
         raise ValueError("formula is not in (2,1) occurrence form: " + "; ".join(problems))
+    k = _integer(k, "k")
     if not 0 <= k <= f.variable_count:
         raise ValueError(f"k={k} out of range 0..{f.variable_count}")
     nv = f.variable_count
@@ -186,13 +206,9 @@ def sat_to_grc(f: OneInThreeInstance, k: int, all_ones: bool = False):
         for block in var_blocks:
             allow(block[3], s)
 
-    cuts = [CutConstraint(block, 2) for block in var_blocks]
-    cuts.extend(CutConstraint(block, 1) for block in clause_blocks)
-    for u, v in itertools.combinations(range(total), 2):
-        if (u, v) not in allowed:
-            cuts.append(CutConstraint((u, v), degrees[u] + degrees[v]))
-
-    inst = GrcInstance(tuple(degrees), tuple(cuts))
+    blocks = [CutConstraint(block, 2) for block in var_blocks]
+    blocks.extend(CutConstraint(block, 1) for block in clause_blocks)
+    inst = _forbid_the_rest(tuple(degrees), blocks, allowed)
     gm = SatGadgetMap(f, k, all_ones, inst, var_blocks, tuple(clause_blocks),
                       tuple(clause_literals), sinks)
     return inst, gm
@@ -303,16 +319,12 @@ def tdm_to_grc(t: ThreeDMInstance):
             allow(a, b)
             allow(b, z_vertices[zk])
 
-    cuts = []
+    blocks = []
     for j in range(n):
         block = tuple(v for pair in y_blocks[j] for v in pair)
         if block:
-            cuts.append(CutConstraint(block, 2))
-    for u, v in itertools.combinations(range(total), 2):
-        if (u, v) not in allowed:
-            cuts.append(CutConstraint((u, v), 2))
-
-    inst = GrcInstance(degrees, tuple(cuts))
+            blocks.append(CutConstraint(block, 2))
+    inst = _forbid_the_rest(degrees, blocks, allowed)
     gm = TdmGadgetMap(t, inst, x_vertices, z_vertices, tuple(y_blocks),
                       tuple(occurrence_triples))
     return inst, gm

@@ -34,28 +34,28 @@ def _integer(value, what: str) -> int:
 class CutConstraint:
     """Demands that the edge cut of ``members`` contain exactly ``ell`` edges.
 
-    ``members`` is stored sorted and without repeats.  A tuple of two Python
-    ints in ascending order is already canonical and is kept as it is, so an
-    explicit pair cut costs O(1); any other input is converted entry by entry
-    (a bool or non-integral index raises), deduplicated and sorted.  On both
-    paths the set must be nonempty with nonnegative indices, and ``ell`` must
-    be a natural number that is not a bool.
+    ``members`` is converted entry by entry (a bool or non-integral index
+    raises), deduplicated and sorted; the set must be nonempty with
+    nonnegative indices, and ``ell`` must be a natural number that is not a
+    bool.
+
+    This constructor checks everything it is given.  Producers that have
+    already proved a pair canonical (``instance_from_json`` and the hardness
+    encoders) build it with ``_pair_cut`` instead, so each explicit pair cut
+    they make is checked once.
     """
 
     members: tuple[int, ...]
     ell: int
 
     def __post_init__(self) -> None:
-        members = self.members
-        if not (type(members) is tuple and len(members) == 2 and type(members[0]) is int
-                and type(members[1]) is int and 0 <= members[0] < members[1]):
-            members = tuple(sorted({v if type(v) is int else _integer(v, "cut set vertex index")
-                                    for v in members}))
-            object.__setattr__(self, "members", members)
-            if not members:
-                raise InvalidInstanceError("cut set must be nonempty")
-            if members[0] < 0:
-                raise InvalidInstanceError(f"cut set holds a negative vertex index: {members}")
+        members = tuple(sorted({v if type(v) is int else _integer(v, "cut set vertex index")
+                                for v in self.members}))
+        object.__setattr__(self, "members", members)
+        if not members:
+            raise InvalidInstanceError("cut set must be nonempty")
+        if members[0] < 0:
+            raise InvalidInstanceError(f"cut set holds a negative vertex index: {members}")
         if not isinstance(self.ell, int) or isinstance(self.ell, bool) or self.ell < 0:
             raise InvalidInstanceError(f"cut size must be a natural number, got {self.ell!r}")
 
@@ -117,23 +117,51 @@ class GrcInstance:
     cuts: tuple[CutConstraint, ...] = ()
 
     def __post_init__(self) -> None:
-        degrees = tuple(d if type(d) is int else _integer(d, "degree") for d in self.degrees)
+        degrees = _checked_degrees(self.degrees)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "cuts", tuple(self.cuts))
-        n = len(degrees)
-        if n < 1:
-            raise InvalidInstanceError("instance needs at least one vertex")
-        if any(d < 0 for d in degrees):
-            raise InvalidInstanceError("degrees must be nonnegative")
-        for cut in self.cuts:
-            if cut.members[-1] >= n:
-                raise InvalidInstanceError(f"cut {cut.members} references vertices beyond n={n}")
-            if len(cut.members) >= n:
-                raise InvalidInstanceError(f"cut {cut.members} is not a proper subset of the vertices")
+        _check_cuts_fit(self.cuts, len(degrees))
 
     @property
     def vertex_count(self) -> int:
         return len(self.degrees)
+
+
+def _checked_degrees(degrees) -> tuple[int, ...]:
+    """``degrees`` as a tuple of ints, at least one and none negative."""
+    degrees = tuple(d if type(d) is int else _integer(d, "degree") for d in degrees)
+    if not degrees:
+        raise InvalidInstanceError("instance needs at least one vertex")
+    if any(d < 0 for d in degrees):
+        raise InvalidInstanceError("degrees must be nonnegative")
+    return degrees
+
+
+def _check_cuts_fit(cuts, n: int) -> None:
+    """Raise for the first cut whose set is not a proper subset of ``0..n-1``."""
+    for cut in cuts:
+        if cut.members[-1] >= n:
+            raise InvalidInstanceError(f"cut {cut.members} references vertices beyond n={n}")
+        if len(cut.members) >= n:
+            raise InvalidInstanceError(f"cut {cut.members} is not a proper subset of the vertices")
+
+
+def _pair_cut(u: int, v: int, ell: int) -> CutConstraint:
+    """The cut {u, v} of size ``ell``, built unchecked: the caller has proved
+    ``u`` and ``v`` ints with ``0 <= u < v`` and ``ell`` a natural int."""
+    cut = object.__new__(CutConstraint)
+    object.__setattr__(cut, "members", (u, v))
+    object.__setattr__(cut, "ell", ell)
+    return cut
+
+
+def _checked_instance(degrees, cuts: tuple[CutConstraint, ...]) -> GrcInstance:
+    """An instance whose ``cuts`` the caller has already checked against
+    n = len(degrees); the degrees are checked here as in ``GrcInstance``."""
+    inst = object.__new__(GrcInstance)
+    object.__setattr__(inst, "degrees", _checked_degrees(degrees))
+    object.__setattr__(inst, "cuts", cuts)
+    return inst
 
 
 class Status(Enum):
@@ -240,7 +268,8 @@ def normalize(inst: GrcInstance) -> GrcInstance:
     Single-vertex sets are degree statements: contradicting ones raise
     Contradiction, matching ones are dropped.  Duplicate sets are deduplicated;
     the same set demanded with two different sizes raises Contradiction.  A
-    cut that is not complemented is kept as the same object.
+    cut that is not complemented is kept as the same object, and every kept
+    set lies within the instance's vertices, so the result skips the cut checks.
     """
     n = inst.vertex_count
     kept: dict[tuple[int, ...], CutConstraint] = {}
@@ -263,7 +292,7 @@ def normalize(inst: GrcInstance) -> GrcInstance:
                     f"cut set {members} demanded with two different sizes {first.ell} and {cut.ell}")
             continue
         kept[members] = cut if members is cut.members else CutConstraint(members, cut.ell)
-    return GrcInstance(inst.degrees, tuple(kept.values()))
+    return _checked_instance(inst.degrees, tuple(kept.values()))
 
 
 def complete_graph(n: int) -> SimpleGraph:
@@ -286,6 +315,16 @@ def instance_to_json(inst: GrcInstance) -> dict:
 
 
 def instance_from_json(doc) -> GrcInstance:
+    """The instance a document describes; every entry is checked exactly once.
+
+    A cut entry that is a dict whose "set" is two plain ints u < v inside
+    0..n-1, with n > 2, and whose "ell" is a plain natural int, is proved
+    canonical here and built with ``_pair_cut``.  Any other entry goes through
+    the ``CutConstraint`` constructor, and only those cuts are then checked
+    against n, after the degrees, as ``GrcInstance`` would check them; the
+    result is the same instance, or the same error, that the public
+    constructors give.
+    """
     if not isinstance(doc, dict):
         raise InvalidInstanceError("instance document must be a JSON object")
     version = doc.get("version", 1)
@@ -297,20 +336,32 @@ def instance_from_json(doc) -> GrcInstance:
     raw_cuts = doc.get("cuts", [])
     if not isinstance(raw_cuts, list):
         raise InvalidInstanceError('"cuts" must be a list')
+    n = len(degrees)
+    pairs_fit = n > 2
     cuts = []
+    other_cuts = []
     for item in raw_cuts:
+        if type(item) is dict:
+            members = item.get("set")
+            ell = item.get("ell")
+            if type(members) is list and len(members) == 2 and type(ell) is int and ell >= 0:
+                u, v = members
+                if type(u) is int and type(v) is int and 0 <= u < v < n and pairs_fit:
+                    cuts.append(_pair_cut(u, v, ell))
+                    continue
         if not isinstance(item, dict) or "set" not in item or "ell" not in item:
             raise InvalidInstanceError(f'cut entries need "set" and "ell": {item!r}')
         members = item["set"]
-        if (type(members) is list and len(members) == 2
-                and type(members[0]) is int and type(members[1]) is int):
-            pass  # a pair of plain ints, checked without a generator
-        elif not isinstance(members, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in members):
+        if not isinstance(members, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in members):
             raise InvalidInstanceError(f'cut "set" must be a list of integers: {members!r}')
         if not isinstance(item["ell"], int) or isinstance(item["ell"], bool):
             raise InvalidInstanceError(f'cut "ell" must be an integer: {item["ell"]!r}')
-        cuts.append(CutConstraint(tuple(members), item["ell"]))
-    return GrcInstance(tuple(degrees), tuple(cuts))
+        cut = CutConstraint(tuple(members), item["ell"])
+        other_cuts.append(cut)
+        cuts.append(cut)
+    inst = _checked_instance(tuple(degrees), tuple(cuts))
+    _check_cuts_fit(other_cuts, n)
+    return inst
 
 
 def graph_to_json(g: SimpleGraph) -> dict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .model import Contradiction, GrcInstance, SimpleGraph, SolveOutcome
+from .model import Contradiction, GrcInstance, SimpleGraph, SolveOutcome, _integer
 # perfbench/tracing.py wraps this name in this module.
 from .model import verify_realization  # noqa: F401
 from .preprocess import Core, as_core, realized
@@ -32,16 +32,20 @@ class OneInThreeInstance:
     """CNF formula asked to have exactly one true literal per clause.
 
     Literals are signed 1-based integers: +3 is variable index 2 positive,
-    -3 the same variable negated.  Clauses have two or three literals.
+    -3 the same variable negated.  Clauses have two or three literals.  The
+    count and the literals must be integers: a bool or a non-integral value
+    raises, it is never truncated.
     """
 
     variable_count: int
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.variable_count < 0:
+        count = _integer(self.variable_count, "variable count")
+        object.__setattr__(self, "variable_count", count)
+        if count < 0:
             raise ValueError("variable count must be nonnegative")
-        canon = tuple(tuple(int(l) for l in clause) for clause in self.clauses)
+        canon = tuple(tuple(_integer(l, "literal") for l in clause) for clause in self.clauses)
         object.__setattr__(self, "clauses", canon)
         for clause in canon:
             if len(clause) not in (2, 3):
@@ -53,15 +57,21 @@ class OneInThreeInstance:
 
 @dataclass(frozen=True)
 class ThreeDMInstance:
-    """Triple system over three n-element sets, indices 0-based."""
+    """Triple system over three n-element sets, indices 0-based.
+
+    ``n`` and the coordinates must be integers: a bool or a non-integral
+    value raises, it is never truncated.
+    """
 
     n: int
     triples: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n = _integer(self.n, "n")
+        object.__setattr__(self, "n", n)
+        if n < 0:
             raise ValueError("n must be nonnegative")
-        canon = tuple(tuple(int(v) for v in t) for t in self.triples)
+        canon = tuple(tuple(_integer(v, "triple coordinate") for v in t) for t in self.triples)
         object.__setattr__(self, "triples", canon)
         for t in canon:
             if len(t) != 3 or any(v < 0 or v >= self.n for v in t):

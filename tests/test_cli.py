@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from grc import (
     CutConstraint,
@@ -61,6 +63,13 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", write_instance(tmp_path, inst))
         assert code == 0
         assert json.loads(out) == {"method": "oracle", "realizable": True}
+
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: JSON document is nested too deeply")
 
     def test_budget_exit_three(self, tmp_path, capsys):
         inst = GrcInstance((1,) * 8, (CutConstraint((0, 1, 2, 3), 4),))
@@ -239,6 +248,19 @@ class TestGenerators:
         assert code == 0
         assert len(json.loads(out)["degrees"]) == 18
 
+    def test_gen_refuses_non_integers(self, tmp_path, capsys):
+        # 1.5 is not read as 1, and a fractional variable count is not a crash
+        triples = tmp_path / "t.json"
+        triples.write_text(json.dumps({"n": 2, "triples": [[0, 0, 0], [1, 1, 1.5]]}))
+        code, out, err = run_cli(capsys, "gen", "3dm", "--triples", str(triples))
+        assert (code, out) == (2, "")
+        assert "must be an integer, got 1.5" in err
+        formula = tmp_path / "f.json"
+        formula.write_text(json.dumps({"vars": 3.9, "clauses": [[1, 2, 3], [1, 2]]}))
+        code, out, err = run_cli(capsys, "gen", "sat13", "--formula", str(formula), "--k", "1")
+        assert (code, out) == (2, "")
+        assert "must be an integer, got 3.9" in err
+
     def test_unknown_flag_usage_exit(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--frobnicate")
         assert code == 2
@@ -248,11 +270,15 @@ def test_pipe_gen_to_solve(tmp_path):
     triples = tmp_path / "t.json"
     triples.write_text(json.dumps(
         {"n": 3, "triples": [[0, 0, 0], [0, 1, 1], [1, 0, 0], [1, 1, 0], [2, 1, 1], [2, 2, 2]]}))
+    # the child processes import grc from this checkout's src, as pytest does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     gen = subprocess.run(
         [sys.executable, "-m", "grc.cli", "gen", "3dm", "--triples", str(triples)],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, check=True, env=env)
     solve = subprocess.run(
         [sys.executable, "-m", "grc.cli", "solve", "-"],
-        input=gen.stdout, capture_output=True, text=True)
+        input=gen.stdout, capture_output=True, text=True, env=env)
     assert solve.returncode == 0
     assert json.loads(solve.stdout)["realizable"] is True

@@ -3,6 +3,9 @@ import random
 import pytest
 
 from grc import (
+    CutConstraint,
+    GrcInstance,
+    InvalidInstanceError,
     OneInThreeInstance,
     ThreeDMInstance,
     decode_sat_witness,
@@ -24,6 +27,19 @@ from tests.bruteforce import random_21_formula, random_3dm, random_positive_form
 
 FIG2 = OneInThreeInstance(4, ((-1, 3), (1, 2, 4), (1, -4), (-2, -3), (2, 3, 4)))
 FIG3 = ThreeDMInstance(3, ((0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 0), (2, 1, 1), (2, 2, 2)))
+
+
+def block_builds(monkeypatch, encode, *args):
+    """The encoder's output and the member sets that went through ``CutConstraint.__post_init__``."""
+    built = []
+    post_init = CutConstraint.__post_init__
+    monkeypatch.setattr(CutConstraint, "__post_init__",
+                        lambda cut: built.append(tuple(cut.members)) or post_init(cut))
+    inst, gm = encode(*args)
+    monkeypatch.undo()
+    # the unchecked cuts are the ones the public constructors would give
+    assert GrcInstance(inst.degrees, tuple(CutConstraint(c.members, c.ell) for c in inst.cuts)) == inst
+    return inst, gm, built
 
 
 def bipartite(g):
@@ -113,6 +129,12 @@ class TestSatToGrc:
         with pytest.raises(ValueError):
             sat_to_grc(FIG2, 9)
 
+    def test_rejects_non_integer_k(self):
+        # the budget sets a degree, so it is never truncated or read from a bool
+        for k in (1.5, 1.0, True):
+            with pytest.raises(InvalidInstanceError, match="k must be an integer"):
+                sat_to_grc(FIG2, k)
+
     def test_roles_total(self):
         inst, gm = sat_to_grc(FIG2, 1)
         for v in range(inst.vertex_count):
@@ -179,6 +201,23 @@ class TestSatToGrc:
             g = SimpleGraph(inst.vertex_count, frozenset(edges))
             assert verify_realization(g, inst).ok, (f, assignment)
             assert decode_sat_witness(g, gm) == assignment
+
+
+def test_pair_cuts_are_built_once(monkeypatch):
+    # only the block cuts run the constructor's checks; the generated pairs do not
+    for all_ones in (False, True):
+        inst, gm, built = block_builds(monkeypatch, sat_to_grc, FIG2, 1, all_ones)
+        assert built == [*gm.var_blocks, *gm.clause_blocks]
+        assert len(inst.cuts) > 10 * len(built)
+    inst, gm, built = block_builds(monkeypatch, tdm_to_grc, FIG3)
+    assert built == [tuple(v for pair in block for v in pair) for block in gm.y_blocks if block]
+    assert len(inst.cuts) > 10 * len(built)
+
+
+def test_two_vertex_encoding_is_refused_as_before():
+    # one element and no triples: the lone pair cut is the whole vertex set
+    with pytest.raises(InvalidInstanceError, match="not a proper subset"):
+        tdm_to_grc(ThreeDMInstance(1, ()))
 
 
 class TestEndToEndSat:

@@ -30,6 +30,11 @@ def triangle():
     return SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
 
 
+def rebuilt(inst):
+    """``inst`` rebuilt from its degrees, members and sizes by the public constructors."""
+    return GrcInstance(inst.degrees, tuple(CutConstraint(c.members, c.ell) for c in inst.cuts))
+
+
 @st.composite
 def graphs(draw, max_n=6):
     n = draw(st.integers(min_value=1, max_value=max_n))
@@ -74,7 +79,7 @@ class TestInstanceValidation:
     def test_cut_members_sorted_dedup(self):
         c = CutConstraint((2, 0, 2), 1)
         assert c.members == (0, 2)
-        # a canonical pair is kept as given and equals the same set built any other way
+        # a canonical pair equals the same set built any other way
         assert CutConstraint((0, 2), 1) == CutConstraint([2, 0, 2], 1) == c
 
     def test_rejects_non_integral_entries(self):
@@ -284,6 +289,30 @@ class TestJson:
         for members in ([0, True], [0.0, 1], [0, "1"], (0, 1)):
             with pytest.raises(InvalidInstanceError, match="list of integers"):
                 instance_from_json({"degrees": [1, 1, 0], "cuts": [{"set": members, "ell": 0}]})
+        # Entries next to the canonical pair cuts: each is refused with its own
+        # message, wherever it stands in the list.
+        good = {"set": [0, 1], "ell": 2}
+        for degrees, entry, message in (
+                ([1, 1, 0], {"set": [-1, 2], "ell": 0}, "cut set holds a negative vertex index: (-1, 2)"),
+                ([1, 1, 0], {"set": [0, 3], "ell": 1}, "cut (0, 3) references vertices beyond n=3"),
+                ([1, 1], {"set": [0, 1], "ell": 2}, "cut (0, 1) is not a proper subset of the vertices"),
+                ([1, 1, 0], {"set": [0, 2], "ell": -1}, "cut size must be a natural number, got -1"),
+                ([1, 1, 0], {"set": [0, 2], "ell": True}, 'cut "ell" must be an integer: True'),
+                ([1, 1, 0], {"set": [0, 2], "ell": 1.0}, 'cut "ell" must be an integer: 1.0'),
+                ([1, 1, 0], {"set": [0, 2]}, """cut entries need "set" and "ell": {'set': [0, 2]}"""),
+                ([1, 1, 0], [0, 2], 'cut entries need "set" and "ell": [0, 2]')):
+            for cuts in ([entry], [good, entry], [entry, good]):
+                if len(degrees) == 2 and entry is not cuts[0]:
+                    continue  # at n = 2 the good pair is itself the whole vertex set
+                with pytest.raises(InvalidInstanceError) as err:
+                    instance_from_json({"degrees": degrees, "cuts": cuts})
+                assert str(err.value) == message
+        # degree checks hold when every cut is a canonical pair
+        for degrees, message in (([1, -1, 0], "degrees must be nonnegative"),
+                                 ([], "instance needs at least one vertex")):
+            with pytest.raises(InvalidInstanceError) as err:
+                instance_from_json({"degrees": degrees, "cuts": [good] if degrees else []})
+            assert str(err.value) == message
         with pytest.raises(InvalidInstanceError):
             graph_from_json({"n": 2, "edges": [[0, 0]]})
         for edges in ([[0, 1], [1, 0]], [[0, 1], [0, 1]]):
@@ -294,6 +323,53 @@ class TestJson:
         doc = {"degrees": [1, 1, 0, 0], "cuts": [{"set": [1, 0], "ell": 2}, {"set": [2, 2], "ell": 0},
                                                  {"set": [0, 1], "ell": 2}]}
         assert [c.members for c in instance_from_json(doc).cuts] == [(0, 1), (2,), (0, 1)]
+        for members, canon in (([1, 0], (0, 1)), ([0, 0], (0,)), ([0, 2], (0, 2)), ([2, 2, 0], (0, 2))):
+            inst = instance_from_json({"degrees": [1, 1, 0], "cuts": [{"set": members, "ell": 1}]})
+            assert inst.cuts == (CutConstraint(canon, 1),)
+            assert rebuilt(inst) == inst
+
+    def test_pair_document_builds_each_cut_once(self, monkeypatch):
+        n = 7
+        pairs = {"degrees": [1] * n,
+                 "cuts": [{"set": list(p), "ell": 2} for p in itertools.combinations(range(n), 2)]}
+        encoded = instance_to_json(sat_to_grc(monotone_to_21(OneInThreeInstance(3, ((1, 2, 3), (1, 2)))), 1)[0])
+        for doc in (pairs, encoded):
+            built = []
+            for cls in (CutConstraint, GrcInstance):
+                post_init = cls.__post_init__
+                monkeypatch.setattr(cls, "__post_init__",
+                                    lambda obj, post_init=post_init: built.append(obj) or post_init(obj))
+            inst = instance_from_json(doc)
+            monkeypatch.undo()
+            # no instance and only the cuts that are not pairs run the constructor's checks
+            assert all(type(c) is CutConstraint for c in built)
+            assert [c.members for c in built] == [c.members for c in inst.cuts if len(c.members) > 2]
+            assert rebuilt(inst) == inst
+            assert instance_to_json(inst) == {"version": 1, **doc}
+
+    def test_trusted_instances_equal_the_checked_ones(self):
+        # every producer of unchecked pair cuts gives what the public
+        # constructors give on the same members and sizes
+        from grc.preprocess import eliminate_fixed_edges
+        from tests.bruteforce import random_instance, random_width3_instance
+        rng = random.Random(23)
+        for _ in range(300):
+            inst = random_instance(rng) if rng.random() < 0.5 else random_width3_instance(rng)
+            docs = [instance_to_json(inst)]
+            if inst.vertex_count > 2:
+                docs.append({"degrees": list(inst.degrees),
+                             "cuts": [{"set": list(p), "ell": inst.degrees[p[0]] + inst.degrees[p[1]]}
+                                      for p in itertools.combinations(range(inst.vertex_count), 2)]})
+            for doc in docs:
+                parsed = instance_from_json(doc)
+                assert rebuilt(parsed) == parsed
+            try:
+                norm = normalize(inst)
+                reduced, _ = eliminate_fixed_edges(norm)
+            except Contradiction:
+                continue
+            assert rebuilt(norm) == norm
+            assert rebuilt(reduced) == reduced
 
     def test_complete_graph(self):
         assert len(complete_graph(4).edges) == 6

@@ -5,6 +5,7 @@ import pytest
 from grc import (
     CutConstraint,
     GrcInstance,
+    InvalidInstanceError,
     OneInThreeInstance,
     Status,
     ThreeDMInstance,
@@ -173,3 +174,17 @@ class TestTypes:
     def test_triple_range(self):
         with pytest.raises(ValueError):
             ThreeDMInstance(1, ((0, 0, 1),))
+
+
+def test_source_problems_refuse_non_integers():
+    # values are never truncated or coerced: floats, strings and bools raise
+    for n, triples in ((True, ()), (2.0, ()), (2, ((0, 0, 0), (1, 1, 1.5))),
+                       (2, ((0, 0, 0), (1, "1", 1))), (2, ((0, 0, 0), (1, 1, True)))):
+        with pytest.raises(InvalidInstanceError, match="must be an integer"):
+            ThreeDMInstance(n, triples)
+    for count, clauses in ((3.9, ((1, 2, 3),)), (True, ((1, -1),)), (3, ((1, 2.0, 3),)),
+                           (3, ((1, "2", 3),)), (3, ((1, True, 3),))):
+        with pytest.raises(InvalidInstanceError, match="must be an integer"):
+            OneInThreeInstance(count, clauses)
+    assert ThreeDMInstance(2, ((0, 1, 1),)).triples == ((0, 1, 1),)
+    assert OneInThreeInstance(3, ((1, -2, 3),)).clauses == ((1, -2, 3),)
