@@ -111,9 +111,7 @@ def _cmd_verify(args) -> int:
 def _cmd_reduce3(args) -> int:
     inst = instance_from_json(_load_json(args.instance))
     try:
-        norm = normalize(inst)
-        screen_instance(norm)
-        reduced, trace = reduce_to_width2(norm)
+        reduced, trace = reduce_to_width2(screen_instance(normalize(inst)))
     except Contradiction as exc:
         _emit({"infeasible": True, "reason": str(exc)})
         return EXIT_OK
@@ -121,7 +119,7 @@ def _cmd_reduce3(args) -> int:
         _emit({"unsafe": list(exc.offenders)})
         return EXIT_INVALID
     trace_doc = trace_to_json(trace)
-    _emit({"instance": instance_to_json(reduced), "trace": trace_doc})
+    _emit({"instance": instance_to_json(reduced.to_instance()), "trace": trace_doc})
     if args.trace:
         _write_json(args.trace, trace_doc)
     return EXIT_OK

@@ -1,13 +1,13 @@
 """Screening and the Core, the one internal form of the solve pipeline.
 
 A size-2 cut is a verdict on one vertex pair: demanded size d_u + d_v forbids
-the edge, d_u + d_v - 2 forces it ("fixed").  ``_classify_pairs`` reads these
-verdicts once into a ``Core``: residual degrees, forbidden and forced pair
-sets, the other cuts with their residual demand, and the rewrite trace.
-``Core.eliminate`` places the forced edges in one pass; every solver route
-then works on the Core and never reads a size-2 cut again.  Public functions
-still accept instances: ``as_core`` converts at entry, and ``to_instance`` or
-``realized`` (which verifies the witness) at exit.
+the edge, d_u + d_v - 2 forces it ("fixed").  The screen tests each demand
+once and builds the ``Core`` in the same pass (``_classify_pairs``): residual
+degrees, forbidden and forced pair sets, the other cuts with their residual
+demand, and the rewrite trace.  ``Core.eliminate`` places the forced edges in
+one pass; every solver route then works on the Core and never reads a size-2
+cut again.  Public functions still accept instances: ``as_core`` converts at
+entry, and ``to_instance`` or ``realized`` (which verifies the witness) at exit.
 """
 
 from __future__ import annotations
@@ -102,13 +102,12 @@ def feasible_ell_set(inst: GrcInstance, s) -> frozenset[int]:
     return frozenset(total - 2 * k for k in range(comb(len(members), 2) + 1) if total - 2 * k >= 0)
 
 
-def screen_instance(inst: GrcInstance) -> None:
-    """Necessary realizability checks; raises Contradiction when one fails.
+def screen_instance(inst: GrcInstance) -> Core:
+    """Necessary realizability checks; returns the Core, raises Contradiction.
 
-    Passing is necessary but not sufficient.  A cut's demand is tested by
-    arithmetic, exactly as membership in ``feasible_ell_set``: with gap =
-    d(S) - ell, it needs gap >= 0, gap even and gap / 2 <= C(|S|, 2).  The
-    instance's cut sets are trusted as validated by ``GrcInstance``.
+    Passing is necessary but not sufficient.  After the vertex checks, every
+    degree at most n - 1 and then an even degree sum, ``_classify_pairs``
+    tests each cut and builds the Core in one pass; nothing is eliminated.
     """
     n, degrees = inst.vertex_count, inst.degrees
     for v, d in enumerate(degrees):
@@ -116,15 +115,7 @@ def screen_instance(inst: GrcInstance) -> None:
             raise Contradiction(f"vertex {v} demands degree {d} but only {n - 1} partners exist")
     if sum(degrees) % 2:
         raise Contradiction("sum of degrees is odd")
-    for cut in inst.cuts:
-        s = cut.members
-        k = len(s)
-        total = degrees[s[0]] + degrees[s[1]] if k == 2 else sum([degrees[v] for v in s])
-        gap = total - cut.ell
-        # an even gap of 2j means j edges inside S, of at most C(k, 2) = k(k-1)/2
-        if gap < 0 or gap % 2 or gap > k * (k - 1):
-            raise Contradiction(
-                f"cut {cut.members} demands size {cut.ell}, outside the attainable sizes")
+    return _classify_pairs(inst)
 
 
 @dataclass
@@ -205,23 +196,26 @@ class Core:
 
 
 def _classify_pairs(inst: GrcInstance) -> Core:
-    """Read each size-2 cut of ``inst`` as a verdict on its pair; nothing is eliminated."""
-    core = Core(list(inst.degrees), set(), set(), {})
+    """The Core of ``inst``, read in one pass over its cuts; nothing is eliminated.
+
+    A demand is tested as membership in ``feasible_ell_set``: gap = d(S) - ell
+    must be twice the edges inside S, so even, with 0 <= gap <= 2 C(|S|, 2).
+    A pair's gap is then 0, which forbids its edge, or 2, which forces it.
+    The cut sets are trusted as validated by ``GrcInstance``.
+    """
+    degrees = inst.degrees
+    core = Core(list(degrees), set(), set(), {})
     for cut in inst.cuts:
-        s = cut.members
-        if len(s) != 2:
-            if core.cuts.setdefault(s, cut.ell) != cut.ell:
-                raise Contradiction(
-                    f"cut set {s} demanded with two different sizes {core.cuts[s]} and {cut.ell}")
-            continue
-        total = inst.degrees[s[0]] + inst.degrees[s[1]]
-        if cut.ell == total:
-            core.forbidden.add(s)
-        elif cut.ell == total - 2:
-            core.forced.add(s)
-        else:
+        s, ell = cut.members, cut.ell
+        k = len(s)
+        gap = (degrees[s[0]] + degrees[s[1]] if k == 2 else sum([degrees[v] for v in s])) - ell
+        if gap < 0 or gap % 2 or gap > k * (k - 1):
+            raise Contradiction(f"cut {s} demands size {ell}, outside the attainable sizes")
+        if k == 2:
+            (core.forced if gap else core.forbidden).add(s)
+        elif core.cuts.setdefault(s, ell) != ell:
             raise Contradiction(
-                f"pair cut {s} demands {cut.ell}, but only {total} or {total - 2} are attainable")
+                f"cut set {s} demanded with two different sizes {core.cuts[s]} and {ell}")
     core.check_clash()
     return core
 

@@ -46,16 +46,24 @@ class UnsafeReduction(Exception):
         super().__init__(msg or "unsafe reduction")
 
 
+_BY_GAP = {case.value: case for case in Size3Case}
+
+
+def _size3_case(degrees, s: tuple[int, ...], ell: int) -> Size3Case | None:
+    """The case of the size-3 cut (s, ell), or None when d(S) - ell is not 0, 2, 4 or 6."""
+    return _BY_GAP.get(degrees[s[0]] + degrees[s[1]] + degrees[s[2]] - ell)
+
+
 def classify_case(inst: GrcInstance | Core, cut: CutConstraint) -> Size3Case:
     if len(cut.members) != 3:
         raise ValueError(f"classification applies to size-3 cut sets, got {cut.members}")
-    diff = sum(inst.degrees[v] for v in cut.members) - cut.ell
-    try:
-        return Size3Case(diff)
-    except ValueError:
+    case = _size3_case(inst.degrees, cut.members, cut.ell)
+    if case is None:
+        diff = sum(inst.degrees[v] for v in cut.members) - cut.ell
         raise ValueError(
             f"cut {cut.members}: d(S) - ell = {diff} is not in {{0, 2, 4, 6}}; "
-            "screen the instance first") from None
+            "screen the instance first")
+    return case
 
 
 def _safety_violations(core: Core, s: tuple[int, ...]) -> list[dict]:
@@ -113,11 +121,11 @@ def _rewrite(core: Core, s: tuple[int, ...], case: Size3Case) -> TraceRecord:
     return record
 
 
-def _apply(inst: GrcInstance, cut: CutConstraint, case: Size3Case, guard: bool):
+def _apply(inst: GrcInstance, cut: CutConstraint, case: Size3Case):
     if classify_case(inst, cut) is not case:
         raise ValueError(f"apply_{case.name.lower()} expects a cut with ell = d(S) - {case.value}")
     core = _classify_pairs(inst)
-    offenders = _safety_violations(core, cut.members) if guard else []
+    offenders = _safety_violations(core, cut.members) if case in _HELPER_DEGREES else []
     if offenders:
         raise UnsafeReduction(offenders)
     record = _rewrite(core, cut.members, case)
@@ -126,25 +134,25 @@ def _apply(inst: GrcInstance, cut: CutConstraint, case: Size3Case, guard: bool):
 
 def apply_case1(inst: GrcInstance, cut: CutConstraint):
     """ell = d(S): every degree unit leaves S, so all internal pairs are forbidden."""
-    return _apply(inst, cut, Size3Case.CASE1, guard=False)
+    return _apply(inst, cut, Size3Case.CASE1)
 
 
 def apply_case2(inst: GrcInstance, cut: CutConstraint):
     """ell = d(S) - 6: all three internal edges are forced."""
-    return _apply(inst, cut, Size3Case.CASE2, guard=False)
+    return _apply(inst, cut, Size3Case.CASE2)
 
 
-def apply_case3(inst: GrcInstance, cut: CutConstraint, *, force: bool = False):
+def apply_case3(inst: GrcInstance, cut: CutConstraint):
     """ell = d(S) - 2: exactly one internal edge.
 
     A helper vertex x of degree 2, wired only into S, picks the two endpoints
     of that edge.  All internal pairs of S are forbidden, and x is forbidden
     from every vertex outside S (including helper vertices of other rewrites).
     """
-    return _apply(inst, cut, Size3Case.CASE3, guard=not force)
+    return _apply(inst, cut, Size3Case.CASE3)
 
 
-def apply_case4(inst: GrcInstance, cut: CutConstraint, *, force: bool = False):
+def apply_case4(inst: GrcInstance, cut: CutConstraint):
     """ell = d(S) - 4: exactly two internal edges.
 
     Helper x (degree 3) is forced onto all of S, dropping each internal degree
@@ -152,7 +160,7 @@ def apply_case4(inst: GrcInstance, cut: CutConstraint, *, force: bool = False):
     common endpoint of the two internal edges.  Internal pairs of S are
     forbidden, and both helpers are forbidden from everything outside S.
     """
-    return _apply(inst, cut, Size3Case.CASE4, guard=not force)
+    return _apply(inst, cut, Size3Case.CASE4)
 
 
 def reduce_to_width2(inst: GrcInstance | Core, *, guard: bool = True):
@@ -180,12 +188,11 @@ def reduce_to_width2(inst: GrcInstance | Core, *, guard: bool = True):
             break
         cases = {}
         for s in size3:
-            try:
-                cases[s] = classify_case(work, CutConstraint(s, work.cuts[s]))
-            except ValueError:
+            cases[s] = _size3_case(work.degrees, s, work.cuts[s])
+            if cases[s] is None:
                 raise Contradiction(
                     f"after forced-edge elimination, cut {s} demands {work.cuts[s]}, "
-                    "outside the attainable sizes") from None
+                    "outside the attainable sizes")
         target = next((s for s in size3 if cases[s] in (Size3Case.CASE1, Size3Case.CASE2)), None)
         if target is None:
             offenders = [o for s in size3 for o in _safety_violations(work, s)] if guard else []

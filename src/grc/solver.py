@@ -1,13 +1,13 @@
-"""Dispatch pipeline: normalize, screen, build the Core once, then pick a solver.
+"""Dispatch pipeline: normalize, screen (which builds the Core), then pick a solver.
 
-The normalized instance becomes one Core (pair verdicts classified, forced
-edges eliminated), and every route reads that Core.  Its degree-exact
-subgraph of the possibility graph (``ffactor.solve_on_host``) decides it when
-that graph is a forest (route "tree": the subgraph is unique, and the other
-cuts are checked on it) or when all cut sets have size <= 2 (route
-"ffactor").  Otherwise the size-3 rewrite plus matching runs when the guard
-admits it, and pruned exhaustive search when it does not or cut sets are
-larger.
+The screen tests the normalized instance and builds its one Core in the same
+pass over the cuts (pair verdicts classified); forced edges are then
+eliminated, and every route reads that Core.  Its degree-exact subgraph of
+the possibility graph (``ffactor.solve_on_host``) decides it when that graph
+is a forest (route "tree": the subgraph is unique, and the other cuts are
+checked on it) or when all cut sets have size <= 2 (route "ffactor").
+Otherwise the size-3 rewrite plus matching runs when the guard admits it, and
+pruned exhaustive search when it does not or cut sets are larger.
 The witness of any route is verified once, against the instance as given.
 """
 
@@ -20,11 +20,10 @@ from .model import (
     SolveOutcome,
     normalize,
     verify_realization,
-    width,
 )
 from .ffactor import solve_on_host, solve_width2
 from .oracle import DEFAULT_NODE_BUDGET, oracle_solve
-from .preprocess import Core, as_core, possibility_graph, screen_instance
+from .preprocess import Core, possibility_graph, screen_instance
 from .reduce3 import UnsafeReduction, reduce_to_width2
 from .treesolve import is_forest
 
@@ -56,15 +55,16 @@ def solve(inst: GrcInstance, *, method: str = "auto",
     if method not in METHODS:
         raise MethodNotApplicable(f"unknown method {method!r}, pick one of {METHODS}")
     try:
-        norm = normalize(inst)
-        screen_instance(norm)
+        core = screen_instance(normalize(inst))
     except Contradiction as exc:
         return SolveOutcome.infeasible(str(exc), method="screen")
+    # pairs live in the Core's verdict sets, so this is 0 where width() reads 2
+    w = max(map(len, core.cuts), default=0)
     limit = {"ffactor": 2, "reduce3": 3}.get(method)
-    if limit is not None and width(norm) > limit:
+    if limit is not None and w > limit:
         raise MethodNotApplicable(f"instance has cut sets of size {limit + 1} or more")
     try:
-        core = as_core(norm)
+        core.eliminate()
     except Contradiction as exc:
         return SolveOutcome.infeasible(
             str(exc), method="preprocess" if method == "auto" else method)
@@ -72,7 +72,6 @@ def solve(inst: GrcInstance, *, method: str = "auto",
     route = method
     forest = _forest(core) if method in ("auto", "tree") else None
     if method == "auto":
-        w = width(norm)
         route = ("tree" if forest is not None
                  else "ffactor" if w <= 2 else "reduce3" if w == 3 else "oracle")
     elif method == "tree" and forest is None:

@@ -213,7 +213,7 @@ class TestReduceToWidth2:
         # the forced internal edge (0,1) of a no-internal-edges cut is a genuine clash
         inst = GrcInstance((2, 2, 2, 2, 2, 2),
                            (cut3((0, 1, 2), 6), CutConstraint((0, 1), 2)))
-        with pytest.raises(Contradiction):
+        with pytest.raises(Contradiction, match="after forced-edge elimination"):
             reduce_to_width2(inst)
 
     def test_random_equivalence_with_guard(self):
