@@ -4,8 +4,9 @@ Subcommands: solve, verify, reduce3, oracle, degseq, ffactor, gen sat13,
 gen 3dm.  Instance/graph arguments are JSON files; "-" reads standard input.
 All outputs are newline-terminated single-line JSON for pipeline composition.
 Exit codes: 0 for any completed decision (yes or no), 2 for invalid input or
-usage, 3 when the node budget runs out, 4 when an internal consistency check
-fails (a bug, reported on one "error: internal: ..." line).  The environment
+usage, 3 when the node budget or memory runs out (the latter reported on one
+"error: resource: ..." line), 4 when an internal consistency check fails (a
+bug, reported on one "error: internal: ..." line).  The environment
 variable GRC_BUDGET overrides the default node budget; a --budget flag
 overrides both.
 """
@@ -28,13 +29,13 @@ from .model import (
     graph_to_json,
     instance_from_json,
     instance_to_json,
-    normalize,
     verify_realization,
 )
 from .oracle import (
     DEFAULT_NODE_BUDGET,
     OneInThreeInstance,
     ThreeDMInstance,
+    _BudgetExhausted,
     enumerate_realizations,
     oracle_solve,
 )
@@ -111,7 +112,7 @@ def _cmd_verify(args) -> int:
 def _cmd_reduce3(args) -> int:
     inst = instance_from_json(_load_json(args.instance))
     try:
-        reduced, trace = reduce_to_width2(screen_instance(normalize(inst)))
+        reduced, trace = reduce_to_width2(screen_instance(inst))
     except Contradiction as exc:
         _emit({"infeasible": True, "reason": str(exc)})
         return EXIT_OK
@@ -131,7 +132,11 @@ def _cmd_oracle(args) -> int:
     inst = instance_from_json(_load_json(args.instance))
     budget = _budget(args)
     if args.enumerate is not None:
-        witnesses = enumerate_realizations(inst, args.enumerate, budget)
+        try:
+            witnesses = enumerate_realizations(inst, args.enumerate, budget)
+        except _BudgetExhausted:
+            _emit({"count": None, "method": "oracle", "realizable": None})
+            return EXIT_BUDGET
         _emit({"count": len(witnesses), "method": "oracle",
                "realizable": bool(witnesses)})
         if getattr(args, "witness", None):
@@ -287,6 +292,9 @@ def cli_main(argv=None) -> int:
     except (ValueError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MemoryError:
+        print("error: resource: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
     except RuntimeError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

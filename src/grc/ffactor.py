@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import mul
 
-from .model import Contradiction, GrcInstance, SimpleGraph, SolveOutcome, cut_size
+from .model import Contradiction, GrcInstance, SimpleGraph, SolveOutcome, _integer, cut_size
 from .preprocess import Core, as_core, possibility_graph, realized
 from .reduce3 import lift_realization
 
@@ -146,7 +146,7 @@ class GadgetMatchingGraph:
 
 
 def _check_targets(host: SimpleGraph, f) -> tuple[int, ...]:
-    targets = tuple(int(x) for x in f)
+    targets = tuple(x if type(x) is int else _integer(x, "degree target") for x in f)
     if len(targets) != host.vertex_count:
         raise ValueError(
             f"need one degree target per vertex: got {len(targets)} for n={host.vertex_count}")

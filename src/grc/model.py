@@ -254,22 +254,29 @@ def verify_realization(g: SimpleGraph, inst: GrcInstance) -> VerificationReport:
 def width(inst: GrcInstance) -> int:
     """Largest cut-set size in the instance as given (0 when there are no cuts).
 
-    The solve pipeline applies this to normalized instances, where sets have
-    already been complement-reduced to their smaller side.
+    Sets are counted as written; apply ``normalize`` first to count each on
+    its smaller side.
     """
     return max((len(c.members) for c in inst.cuts), default=0)
 
 
 def normalize(inst: GrcInstance) -> GrcInstance:
-    """Canonicalize the cut list.
+    """Canonicalize the cut list by the rule of ``_canonical_cuts``: larger
+    sides complemented, single-vertex sets checked and dropped, duplicates
+    merged.  Every kept set lies within the instance's vertices, so the
+    result skips the cut checks."""
+    return _checked_instance(inst.degrees, tuple(_canonical_cuts(inst)))
+
+
+def _canonical_cuts(inst: GrcInstance):
+    """Yield the cuts of ``inst`` in canonical form, in order, as they are read.
 
     Each set larger than half the vertices is replaced by its complement (the
     cut is identical); a half-sized set keeps the variant containing vertex 0.
     Single-vertex sets are degree statements: contradicting ones raise
-    Contradiction, matching ones are dropped.  Duplicate sets are deduplicated;
+    Contradiction, matching ones are dropped.  Duplicate sets are dropped;
     the same set demanded with two different sizes raises Contradiction.  A
-    cut that is not complemented is kept as the same object, and every kept
-    set lies within the instance's vertices, so the result skips the cut checks.
+    cut that is not complemented is yielded as the same object.
     """
     n = inst.vertex_count
     kept: dict[tuple[int, ...], CutConstraint] = {}
@@ -285,14 +292,13 @@ def normalize(inst: GrcInstance) -> GrcInstance:
                 raise Contradiction(
                     f"cut on single vertex {v} demands {cut.ell} but its degree is {inst.degrees[v]}")
             continue
-        first = kept.get(members)
-        if first is not None:
+        first = kept.setdefault(members, cut)
+        if first is not cut:
             if first.ell != cut.ell:
                 raise Contradiction(
                     f"cut set {members} demanded with two different sizes {first.ell} and {cut.ell}")
             continue
-        kept[members] = cut if members is cut.members else CutConstraint(members, cut.ell)
-    return _checked_instance(inst.degrees, tuple(kept.values()))
+        yield cut if members is cut.members else CutConstraint(members, cut.ell)
 
 
 def complete_graph(n: int) -> SimpleGraph:

@@ -78,8 +78,8 @@ class ThreeDMInstance:
                 raise ValueError(f"triple {t} out of range for n={self.n}")
 
 
-class _BudgetExhausted(Exception):
-    pass
+class _BudgetExhausted(RuntimeError):
+    """The search visited more nodes than its budget allows."""
 
 
 class _EdgeSearch:
@@ -214,8 +214,8 @@ def enumerate_realizations(inst: GrcInstance, cap: int,
     """Up to ``cap`` distinct realizations, returned in ascending edge-set order.
 
     Intended for small instances (documented bound n <= 10); exceeding the
-    node budget raises RuntimeError rather than returning a partial answer
-    silently.
+    node budget raises RuntimeError (``_BudgetExhausted``) rather than
+    returning a partial answer silently.
     """
     try:
         core = as_core(inst)
@@ -224,7 +224,7 @@ def enumerate_realizations(inst: GrcInstance, cap: int,
     try:
         results = _EdgeSearch(core, prune=True).run(cap, node_budget)
     except _BudgetExhausted:
-        raise RuntimeError("node budget exhausted during enumeration") from None
+        raise _BudgetExhausted("node budget exhausted during enumeration") from None
     results.sort(key=SimpleGraph.sorted_edges)
     return results
 

@@ -1,12 +1,13 @@
 """Screening and the Core, the one internal form of the solve pipeline.
 
 A size-2 cut is a verdict on one vertex pair: demanded size d_u + d_v forbids
-the edge, d_u + d_v - 2 forces it ("fixed").  The screen tests each demand
-once and builds the ``Core`` in the same pass (``_classify_pairs``): residual
-degrees, forbidden and forced pair sets, the other cuts with their residual
-demand, and the rewrite trace.  ``Core.eliminate`` places the forced edges in
-one pass; every solver route then works on the Core and never reads a size-2
-cut again.  Public functions still accept instances: ``as_core`` converts at
+the edge, d_u + d_v - 2 forces it ("fixed").  The screen reads the instance
+as given, in one pass over its cuts: it puts each cut on its canonical side
+(``model._canonical_cuts``), tests its demand and builds the ``Core``
+(``_classify_pairs``): residual degrees, forbidden and forced pair sets, the
+other cuts with their residual demand, and the rewrite trace.
+``Core.eliminate`` places the forced edges in one pass; every solver route
+then works on the Core and never reads a size-2 cut again.  Public functions still accept instances: ``as_core`` converts at
 entry, and ``to_instance`` or ``realized`` (which verifies the witness) at exit.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .model import (Contradiction, CutConstraint, GrcInstance, SimpleGraph, SolveOutcome,
-                    degree_sum, verify_realization)
+                    _canonical_cuts, degree_sum, verify_realization)
 
 
 # Rewrite records.  Applied in list order they turn the original instance into
@@ -106,8 +107,9 @@ def screen_instance(inst: GrcInstance) -> Core:
     """Necessary realizability checks; returns the Core, raises Contradiction.
 
     Passing is necessary but not sufficient.  After the vertex checks, every
-    degree at most n - 1 and then an even degree sum, ``_classify_pairs``
-    tests each cut and builds the Core in one pass; nothing is eliminated.
+    degree at most n - 1 and then an even degree sum, one pass over the cuts
+    as given puts each on its canonical side (``_canonical_cuts``, the rule
+    of ``normalize``), tests it and builds the Core; nothing is eliminated.
     """
     n, degrees = inst.vertex_count, inst.degrees
     for v, d in enumerate(degrees):
@@ -115,7 +117,7 @@ def screen_instance(inst: GrcInstance) -> Core:
             raise Contradiction(f"vertex {v} demands degree {d} but only {n - 1} partners exist")
     if sum(degrees) % 2:
         raise Contradiction("sum of degrees is odd")
-    return _classify_pairs(inst)
+    return _classify_pairs(degrees, _canonical_cuts(inst))
 
 
 @dataclass
@@ -195,17 +197,17 @@ class Core:
         return GrcInstance(tuple(d), (*pairs, *rest))
 
 
-def _classify_pairs(inst: GrcInstance) -> Core:
-    """The Core of ``inst``, read in one pass over its cuts; nothing is eliminated.
+def _classify_pairs(degrees: tuple[int, ...], cuts) -> Core:
+    """The Core of ``degrees`` and ``cuts``, read in one pass; nothing is eliminated.
 
     A demand is tested as membership in ``feasible_ell_set``: gap = d(S) - ell
     must be twice the edges inside S, so even, with 0 <= gap <= 2 C(|S|, 2).
     A pair's gap is then 0, which forbids its edge, or 2, which forces it.
-    The cut sets are trusted as validated by ``GrcInstance``.
+    The cut sets are trusted as validated by ``GrcInstance`` and read as
+    written; only the screen canonicalizes them first.
     """
-    degrees = inst.degrees
     core = Core(list(degrees), set(), set(), {})
-    for cut in inst.cuts:
+    for cut in cuts:
         s, ell = cut.members, cut.ell
         k = len(s)
         gap = (degrees[s[0]] + degrees[s[1]] if k == 2 else sum([degrees[v] for v in s])) - ell
@@ -224,7 +226,7 @@ def as_core(inst: GrcInstance | Core) -> Core:
     """``inst`` classified and with its forced edges eliminated; a Core passes through."""
     if isinstance(inst, Core):
         return inst
-    core = _classify_pairs(inst)
+    core = _classify_pairs(inst.degrees, inst.cuts)
     core.eliminate()
     return core
 
@@ -241,7 +243,7 @@ def realized(witness: SimpleGraph, source: GrcInstance | Core, method: str) -> S
 
 def build_pair_ledger(inst: GrcInstance) -> Core:
     """Classify every size-2 cut under the instance's current degrees; see ``Core.status``."""
-    return _classify_pairs(inst)
+    return _classify_pairs(inst.degrees, inst.cuts)
 
 
 def eliminate_fixed_edges(inst: GrcInstance):
@@ -261,7 +263,7 @@ def possibility_graph(inst: GrcInstance | Core) -> SimpleGraph:
 
     The instance or Core must carry no fixed pairs (run eliminate_fixed_edges first).
     """
-    core = inst if isinstance(inst, Core) else _classify_pairs(inst)
+    core = inst if isinstance(inst, Core) else _classify_pairs(inst.degrees, inst.cuts)
     if core.forced:
         raise ValueError(
             f"fixed pairs remain, run eliminate_fixed_edges first: {sorted(core.forced)}")

@@ -87,7 +87,7 @@ def _safety_violations(core: Core, s: tuple[int, ...]) -> list[dict]:
 def gadget_safe(inst: GrcInstance, cut: CutConstraint) -> bool:
     """True iff no internal pair of the cut carries a pair constraint and no
     other cut of size >= 3 shares two or more vertices with it."""
-    return not _safety_violations(_classify_pairs(inst), cut.members)
+    return not _safety_violations(_classify_pairs(inst.degrees, inst.cuts), cut.members)
 
 
 _RECORDS = {Size3Case.CASE1: Case1Forbid, Size3Case.CASE2: Case2Fix,
@@ -124,7 +124,7 @@ def _rewrite(core: Core, s: tuple[int, ...], case: Size3Case) -> TraceRecord:
 def _apply(inst: GrcInstance, cut: CutConstraint, case: Size3Case):
     if classify_case(inst, cut) is not case:
         raise ValueError(f"apply_{case.name.lower()} expects a cut with ell = d(S) - {case.value}")
-    core = _classify_pairs(inst)
+    core = _classify_pairs(inst.degrees, inst.cuts)
     offenders = _safety_violations(core, cut.members) if case in _HELPER_DEGREES else []
     if offenders:
         raise UnsafeReduction(offenders)
@@ -178,7 +178,7 @@ def reduce_to_width2(inst: GrcInstance | Core, *, guard: bool = True):
     from.
     """
     from_instance = isinstance(inst, GrcInstance)
-    work = _classify_pairs(inst) if from_instance else inst.copy()
+    work = _classify_pairs(inst.degrees, inst.cuts) if from_instance else inst.copy()
     if any(len(s) > 3 for s in work.cuts):
         raise ValueError("reduction handles instances of width <= 3 only")
     while True:

@@ -1,11 +1,12 @@
-"""Dispatch pipeline: normalize, screen (which builds the Core), then pick a solver.
+"""Dispatch pipeline: screen (which normalizes and builds the Core), then pick a solver.
 
-The screen tests the normalized instance and builds its one Core in the same
-pass over the cuts (pair verdicts classified); forced edges are then
-eliminated, and every route reads that Core.  Its degree-exact subgraph of
-the possibility graph (``ffactor.solve_on_host``) decides it when that graph
-is a forest (route "tree": the subgraph is unique, and the other cuts are
-checked on it) or when all cut sets have size <= 2 (route "ffactor").
+The screen reads the instance as given: in one pass over the cuts it puts
+each on its canonical side, tests it and builds the one Core (pair verdicts
+classified); forced edges are then eliminated, and every route reads that
+Core.  Its degree-exact subgraph of the possibility graph
+(``ffactor.solve_on_host``) decides it when that graph is a forest (route
+"tree": the subgraph is unique, and the other cuts are checked on it) or
+when all cut sets have size <= 2 (route "ffactor").
 Otherwise the size-3 rewrite plus matching runs when the guard admits it, and
 pruned exhaustive search when it does not or cut sets are larger.
 The witness of any route is verified once, against the instance as given.
@@ -18,7 +19,6 @@ from .model import (
     GrcInstance,
     SimpleGraph,
     SolveOutcome,
-    normalize,
     verify_realization,
 )
 from .ffactor import solve_on_host, solve_width2
@@ -28,6 +28,7 @@ from .reduce3 import UnsafeReduction, reduce_to_width2
 from .treesolve import is_forest
 
 # perfbench/tracing.py wraps these names in this module.
+from .model import normalize  # noqa: F401
 from .preprocess import eliminate_fixed_edges  # noqa: F401
 from .reduce3 import lift_realization  # noqa: F401
 from .treesolve import solve_tree  # noqa: F401
@@ -55,7 +56,7 @@ def solve(inst: GrcInstance, *, method: str = "auto",
     if method not in METHODS:
         raise MethodNotApplicable(f"unknown method {method!r}, pick one of {METHODS}")
     try:
-        core = screen_instance(normalize(inst))
+        core = screen_instance(inst)
     except Contradiction as exc:
         return SolveOutcome.infeasible(str(exc), method="screen")
     # pairs live in the Core's verdict sets, so this is 0 where width() reads 2

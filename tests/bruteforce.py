@@ -34,10 +34,25 @@ def satisfies(inst: GrcInstance, g: SimpleGraph) -> bool:
 
 
 def brute_realizations(inst: GrcInstance, cap: int | None = None) -> list[SimpleGraph]:
+    """Every realization, in the subset order of ``all_graphs``; at most ``cap``.
+
+    Subset ``bits`` picks pair i when bit i is set.  Each vertex and each cut
+    gets the mask of the pairs it counts (incident, crossing); ``bits`` meets
+    a target when its intersection with the mask has that many bits, and only
+    the subsets meeting every target are built as graphs.
+    """
+    n = inst.vertex_count
+    pairs = list(itertools.combinations(range(n), 2))
+    targets = [(sum(1 << i for i, p in enumerate(pairs) if v in p), d)
+               for v, d in enumerate(inst.degrees)]
+    for cut in inst.cuts:
+        inside = set(cut.members)
+        mask = sum(1 << i for i, (u, v) in enumerate(pairs) if (u in inside) != (v in inside))
+        targets.append((mask, cut.ell))
     out = []
-    for g in all_graphs(inst.vertex_count):
-        if satisfies(inst, g):
-            out.append(g)
+    for bits in range(1 << len(pairs)):
+        if all((bits & mask).bit_count() == count for mask, count in targets):
+            out.append(SimpleGraph(n, frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)))
             if cap is not None and len(out) >= cap:
                 break
     return out

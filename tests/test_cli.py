@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +113,14 @@ class TestSolve:
         assert err.startswith("error: internal: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_out_of_memory_exits_three(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr("grc.cli.solve", exhausted)
+        code, out, err = run_cli(capsys, "solve", write_instance(tmp_path, GrcInstance((1, 1))))
+        assert (code, out) == (3, "")
+        assert err == "error: resource: out of memory\n"
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         path = write_instance(tmp_path, GrcInstance((2, 2, 2)))
         _, out1, _ = run_cli(capsys, "solve", path)
@@ -215,6 +225,12 @@ class TestOracleCommand:
             code, out, err = run_cli(capsys, "oracle", path, "--enumerate", count)
             assert code == 2 and out == "" and err.startswith("error:")
 
+    def test_enumerate_budget_exit_three(self, tmp_path, capsys):
+        path = write_instance(tmp_path, GrcInstance((1, 1)))
+        code, out, err = run_cli(capsys, "oracle", path, "--enumerate", "1", "--budget", "0")
+        assert (code, err) == (3, "")
+        assert json.loads(out) == {"count": None, "method": "oracle", "realizable": None}
+
     def test_plain(self, tmp_path, capsys):
         path = write_instance(tmp_path, GrcInstance((2, 2, 2)))
         code, out, _ = run_cli(capsys, "oracle", path)
@@ -282,3 +298,87 @@ def test_pipe_gen_to_solve(tmp_path):
         input=gen.stdout, capture_output=True, text=True, env=env)
     assert solve.returncode == 0
     assert json.loads(solve.stdout)["realizable"] is True
+
+
+
+# Values a malformed document may carry where a well-formed one has a number,
+# a list or an object.
+_JUNK = (0, 1, 2, 3, -1, 7, 1.5, float("nan"), True, None, "1", [], {}, [0, 1], [[0, 1]],
+         {"set": [0], "ell": 0})
+
+
+def _mutated(rng, doc):
+    """``doc`` as it is, or with one key dropped or replaced, one entry corrupted, or all junk."""
+    roll = rng.random()
+    if roll < 0.4:
+        return doc
+    if roll < 0.45:
+        return rng.choice(_JUNK)
+    doc = json.loads(json.dumps(doc))
+    key = rng.choice(sorted(doc))
+    if roll < 0.55:
+        del doc[key]
+    elif roll < 0.7 or not (isinstance(doc[key], list) and doc[key]):
+        doc[key] = rng.choice(_JUNK)
+    else:
+        i = rng.randrange(len(doc[key]))
+        item = doc[key][i]
+        if isinstance(item, dict):
+            item[rng.choice(sorted(item))] = rng.choice(_JUNK)
+        elif isinstance(item, list) and item:
+            item[rng.randrange(len(item))] = rng.choice(_JUNK)
+        else:
+            doc[key][i] = rng.choice(_JUNK)
+    return doc
+
+
+def _csv(rng, n):
+    tokens = [str(rng.randint(0, 3)) for _ in range(n if rng.random() < 0.7 else rng.randint(0, 7))]
+    if tokens and rng.random() < 0.2:
+        tokens[rng.randrange(len(tokens))] = rng.choice(("-1", "x", "", " 2", "1.5"))
+    return ",".join(tokens)
+
+
+def test_fuzz_exit_codes_are_documented(tmp_path, capsys):
+    # small valid, malformed and edge-case documents for every subcommand, in
+    # process: each run ends with a documented exit code (0, 2 or 3), never a
+    # raised exception
+    rng = random.Random(11)
+    formula = {"vars": 4, "clauses": [[-1, 3], [1, 2, 4], [1, -4], [-2, -3], [2, 3, 4]]}
+    triples = {"n": 2, "triples": [[0, 0, 0], [1, 1, 1], [0, 1, 1], [1, 0, 0]]}
+    for i in range(300):
+        n = rng.randint(1, 6)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = rng.sample(pairs, rng.randint(0, min(6, len(pairs))))
+        degrees = [sum(v in e for e in edges) for v in range(n)]
+        if rng.random() < 0.3:
+            degrees[rng.randrange(n)] += rng.choice((-1, 1))
+        cuts = [{"set": sorted(rng.sample(range(n), rng.randint(1, max(1, min(n - 1, 4))))),
+                 "ell": rng.randint(0, 6)} for _ in range(rng.randint(0, 4))]
+        a, b = tmp_path / f"a{i}.json", tmp_path / f"b{i}.json"
+        text = json.dumps(_mutated(rng, {"version": 1, "degrees": degrees, "cuts": cuts}))
+        if rng.random() < 0.05:
+            text = text[:rng.randrange(len(text) + 1)]
+        a.write_text(text)
+        b.write_text(json.dumps(_mutated(rng, {"n": n, "edges": [list(e) for e in edges]})))
+        budget = ("--budget", rng.choice(("0", "1", "40")))
+        argv = rng.choice((
+            ["solve", str(a), "--method", rng.choice(("auto", "tree", "ffactor", "reduce3", "oracle")),
+             *budget],
+            ["verify", str(a), str(b)],
+            ["reduce3", str(a)],
+            ["oracle", str(a), *budget, *rng.choice(((), ("--enumerate", str(rng.randint(-1, 3)))))],
+            ["degseq", _csv(rng, n)],
+            ["ffactor", str(b), "--f", _csv(rng, n)],
+        ))
+        if i % 10 == 0:
+            c = tmp_path / f"c{i}.json"
+            if i % 20:
+                c.write_text(json.dumps(_mutated(rng, formula)))
+                argv = ["gen", "sat13", "--formula", str(c), "--k", str(rng.randint(-1, 3))]
+            else:
+                c.write_text(json.dumps(_mutated(rng, triples)))
+                argv = ["gen", "3dm", "--triples", str(c)]
+        code = cli_main(argv)
+        capsys.readouterr()
+        assert code in (0, 2, 3), (argv, a.read_text(), b.read_text())

@@ -198,11 +198,14 @@ def _forest_instance_with_forced_pairs():
                                          (_forest_instance_with_forced_pairs, "tree")])
 def test_each_stage_runs_once(monkeypatch, make, route):
     inst = make()
+    normalized = _count_calls(monkeypatch, "normalize")
     classified = _count_calls(monkeypatch, "_classify_pairs")
     verified = _count_calls(monkeypatch, "verify_realization")
     hosts = _count_calls(monkeypatch, "possibility_graph")
     out = solve(inst)
     assert out.is_realizable and out.method == route
+    # the screen canonicalizes the cuts in its own pass
+    assert len(normalized) == 0
     assert len(classified) == 1
     assert len(verified) <= 1
     assert len(hosts) == 1

@@ -108,6 +108,14 @@ class TestSolveFFactor:
         factor = solve_f_factor(SimpleGraph(3, [(0, 1)]), (0, 0, 0))
         assert factor.edges == frozenset()
 
+    @pytest.mark.parametrize("targets", [(1.9, 1.2), (True, True), ("1", 1)])
+    def test_targets_are_never_truncated(self, targets):
+        edge = SimpleGraph(2, [(0, 1)])
+        with pytest.raises(ValueError, match="degree target must be an integer"):
+            solve_f_factor(edge, targets)
+        with pytest.raises(ValueError, match="degree target must be an integer"):
+            tutte_gadget(edge, targets)
+
     def test_exhaustive_hosts_up_to_4(self):
         for n in range(1, 5):
             for host in all_graphs(n):

@@ -76,7 +76,10 @@ class TestScreen:
     def test_cut_test_is_membership_in_feasible_ell_set(self):
         # exhaustive: n <= 5, one cut of size 2 or 3, every degree vector with
         # d <= n - 1 and every demand up to two past the set's degree sum.  An
-        # odd degree sum is refused before any cut is read.
+        # odd degree sum is refused before any cut is read.  The screen tests
+        # the canonical side of s: its complement when that is smaller, or
+        # when the halves are equal and s misses vertex 0 (a singleton side
+        # attains exactly its degree).
         for n in range(3, 6):
             for degrees in itertools.product(range(n), repeat=n):
                 base = GrcInstance(degrees)
@@ -86,7 +89,10 @@ class TestScreen:
                     continue
                 for k in (2, 3):
                     for s in itertools.combinations(range(n), k) if k < n else ():
-                        attainable = feasible_ell_set(base, s)
+                        side = s
+                        if k > n - k or (2 * k == n and 0 not in s):
+                            side = tuple(v for v in range(n) if v not in s)
+                        attainable = feasible_ell_set(base, side)
                         for ell in range(sum(degrees[v] for v in s) + 3):
                             try:
                                 screen_instance(GrcInstance(degrees, (CutConstraint(s, ell),)))
@@ -95,6 +101,25 @@ class TestScreen:
                             else:
                                 raised = False
                             assert raised == (ell not in attainable), (degrees, s, ell)
+
+    def test_screen_normalizes_as_it_reads(self):
+        # the screen reads an instance as given: the same Core as after
+        # normalize, or a Contradiction for both
+        rng = random.Random(2024)
+        raised = 0
+        for _ in range(400):
+            inst = random_instance(rng, n_max=6)
+            try:
+                expected = screen_instance(normalize(inst))
+            except Contradiction:
+                expected = None
+                raised += 1
+            try:
+                core = screen_instance(inst)
+            except Contradiction:
+                core = None
+            assert core == expected, inst
+        assert 0 < raised < 400
 
 
 class TestPairLedger:
