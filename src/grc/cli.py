@@ -4,11 +4,12 @@ Subcommands: solve, verify, reduce3, oracle, degseq, ffactor, gen sat13,
 gen 3dm.  Instance/graph arguments are JSON files; "-" reads standard input.
 All outputs are newline-terminated single-line JSON for pipeline composition.
 Exit codes: 0 for any completed decision (yes or no), 2 for invalid input or
-usage, 3 when the node budget or memory runs out (the latter reported on one
-"error: resource: ..." line), 4 when an internal consistency check fails (a
-bug, reported on one "error: internal: ..." line).  The environment
-variable GRC_BUDGET overrides the default node budget; a --budget flag
-overrides both.
+usage, 3 when the node budget or memory runs out or a requested size is too
+large to index (the latter two reported on one "error: resource: ..." line),
+4 for any other failure, such as an internal consistency check (a bug,
+reported on one "error: internal: ..." line).  ``cli_main`` is the one place
+that maps an exception to an exit code.  The environment variable GRC_BUDGET
+overrides the default node budget; a --budget flag overrides both.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .oracle import (
 )
 from .preprocess import screen_instance, trace_to_json
 from .reduce3 import UnsafeReduction, reduce_to_width2
-from .solver import METHODS, MethodNotApplicable, solve
+from .solver import METHODS, solve
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -146,11 +147,15 @@ def _cmd_oracle(args) -> int:
     return _outcome_exit(args, outcome)
 
 
-def _cmd_degseq(args) -> int:
+def _int_list(text: str, what: str) -> list[int]:
     try:
-        degrees = [int(part) for part in args.sequence.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise InvalidInstanceError(f"degree sequence must be comma-separated integers: {args.sequence!r}") from None
+        raise InvalidInstanceError(f"{what} must be comma-separated integers: {text!r}") from None
+
+
+def _cmd_degseq(args) -> int:
+    degrees = _int_list(args.sequence, "degree sequence")
     if any(d < 0 for d in degrees):
         raise InvalidInstanceError("degrees must be nonnegative")
     witness = havel_hakimi(degrees)
@@ -162,60 +167,40 @@ def _cmd_degseq(args) -> int:
 
 def _cmd_ffactor(args) -> int:
     host = graph_from_json(_load_json(args.host))
-    try:
-        targets = [int(part) for part in args.f.split(",") if part.strip() != ""]
-    except ValueError:
-        raise InvalidInstanceError(f"--f must be comma-separated integers: {args.f!r}") from None
-    try:
-        factor = solve_f_factor(host, targets)
-    except ValueError as exc:
-        raise InvalidInstanceError(str(exc)) from None
+    factor = solve_f_factor(host, _int_list(args.f, "--f"))
     _emit({"feasible": factor is not None})
     if factor is not None and args.witness:
         _write_json(args.witness, graph_to_json(factor))
     return EXIT_OK
 
 
-def _formula_from_json(doc) -> OneInThreeInstance:
-    if not isinstance(doc, dict) or "vars" not in doc or "clauses" not in doc:
-        raise InvalidInstanceError('formula document needs "vars" and "clauses"')
+def _source_from_json(path: str, cls, keys: tuple[str, str], what: str):
+    """The generator source problem ``cls`` read from the document at ``path``."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict) or any(key not in doc for key in keys):
+        raise InvalidInstanceError(f'{what} document needs "{keys[0]}" and "{keys[1]}"')
     try:
-        return OneInThreeInstance(doc["vars"], tuple(tuple(c) for c in doc["clauses"]))
+        return cls(doc[keys[0]], tuple(tuple(item) for item in doc[keys[1]]))
     except (TypeError, ValueError) as exc:
-        raise InvalidInstanceError(f"bad formula document: {exc}") from None
+        raise InvalidInstanceError(f"bad {what} document: {exc}") from None
 
 
-def _triples_from_json(doc) -> ThreeDMInstance:
-    if not isinstance(doc, dict) or "n" not in doc or "triples" not in doc:
-        raise InvalidInstanceError('triples document needs "n" and "triples"')
-    try:
-        return ThreeDMInstance(doc["n"], tuple(tuple(t) for t in doc["triples"]))
-    except (TypeError, ValueError) as exc:
-        raise InvalidInstanceError(f"bad triples document: {exc}") from None
+def _emit_encoding(args, encoded) -> int:
+    inst, gm = encoded
+    _emit(instance_to_json(inst))
+    if args.map:
+        _write_json(args.map, gm.to_json())
+    return EXIT_OK
 
 
 def _cmd_gen_sat13(args) -> int:
-    formula = _formula_from_json(_load_json(args.formula))
-    try:
-        inst, gm = sat_to_grc(formula, args.k, all_ones=args.all_ones)
-    except ValueError as exc:
-        raise InvalidInstanceError(str(exc)) from None
-    _emit(instance_to_json(inst))
-    if args.map:
-        _write_json(args.map, gm.to_json())
-    return EXIT_OK
+    formula = _source_from_json(args.formula, OneInThreeInstance, ("vars", "clauses"), "formula")
+    return _emit_encoding(args, sat_to_grc(formula, args.k, all_ones=args.all_ones))
 
 
 def _cmd_gen_3dm(args) -> int:
-    triples = _triples_from_json(_load_json(args.triples))
-    try:
-        inst, gm = tdm_to_grc(triples)
-    except ValueError as exc:
-        raise InvalidInstanceError(str(exc)) from None
-    _emit(instance_to_json(inst))
-    if args.map:
-        _write_json(args.map, gm.to_json())
-    return EXIT_OK
+    triples = _source_from_json(args.triples, ThreeDMInstance, ("n", "triples"), "triples")
+    return _emit_encoding(args, tdm_to_grc(triples))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -284,18 +269,18 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
+    # The one exit map.  InvalidInstanceError, MethodNotApplicable and a bad
+    # JSON document are ValueErrors (exit 2); a size too large to allocate or
+    # to index exits 3; anything else is a bug (exit 4).
     try:
         return args.fn(args)
-    except (InvalidInstanceError, MethodNotApplicable) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ValueError, json.JSONDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except MemoryError:
+    except (MemoryError, OverflowError):
         print("error: resource: out of memory", file=sys.stderr)
         return EXIT_BUDGET
-    except RuntimeError as exc:
+    except Exception as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

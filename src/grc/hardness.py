@@ -90,9 +90,9 @@ def monotone_to_21(f: OneInThreeInstance) -> OneInThreeInstance:
 
 
 def _forbid_the_rest(degrees: tuple[int, ...], blocks: list[CutConstraint],
-                     allowed: set[tuple[int, int]]) -> GrcInstance:
+                     allowed: list[tuple[int, int]]) -> GrcInstance:
     """``blocks`` followed by a cut of size d_u + d_v, which forbids the edge,
-    on every ascending pair outside ``allowed``.
+    on every ascending pair outside ``allowed`` (pairs in either order).
 
     Each block lies inside the vertex range and has fewer members than it, and
     each generated pair is two ascending ints with a natural size, so with
@@ -100,6 +100,7 @@ def _forbid_the_rest(degrees: tuple[int, ...], blocks: list[CutConstraint],
     Below three a pair is the whole vertex set, which ``GrcInstance`` rejects.
     """
     total = len(degrees)
+    allowed = {(a, b) if a < b else (b, a) for a, b in allowed}
     pairs = [_pair_cut(u, v, degrees[u] + degrees[v])
              for u, v in itertools.combinations(range(total), 2) if (u, v) not in allowed]
     if total < 3:
@@ -179,17 +180,11 @@ def sat_to_grc(f: OneInThreeInstance, k: int, all_ones: bool = False):
     if not all_ones:
         degrees[sinks[0]] = nv - k
 
-    allowed: set[tuple[int, int]] = set()
-
-    def allow(a: int, b: int) -> None:
-        allowed.add((a, b) if a < b else (b, a))
-
+    allowed = []
     for t1, t2, f1, f2 in var_blocks:
-        allow(t1, t2)
-        allow(f1, f2)
+        allowed += [(t1, t2), (f1, f2)]
     for block in clause_blocks:
-        for a, b in itertools.combinations(block, 2):
-            allow(a, b)
+        allowed.extend(itertools.combinations(block, 2))
     positives_seen = [0] * nv
     for j, lits in enumerate(clause_literals):
         for slot, lit in enumerate(lits):
@@ -198,13 +193,11 @@ def sat_to_grc(f: OneInThreeInstance, k: int, all_ones: bool = False):
             var = abs(lit) - 1
             clause_vertex = clause_blocks[j][slot]
             if lit > 0:
-                allow(var_blocks[var][positives_seen[var]], clause_vertex)
+                allowed.append((var_blocks[var][positives_seen[var]], clause_vertex))
                 positives_seen[var] += 1
             else:
-                allow(var_blocks[var][2], clause_vertex)
-    for s in sinks:
-        for block in var_blocks:
-            allow(block[3], s)
+                allowed.append((var_blocks[var][2], clause_vertex))
+    allowed.extend((block[3], s) for s in sinks for block in var_blocks)
 
     blocks = [CutConstraint(block, 2) for block in var_blocks]
     blocks.extend(CutConstraint(block, 1) for block in clause_blocks)
@@ -307,17 +300,11 @@ def tdm_to_grc(t: ThreeDMInstance):
     total = base
     degrees = (1,) * total
 
-    allowed: set[tuple[int, int]] = set()
-
-    def allow(a: int, b: int) -> None:
-        allowed.add((a, b) if a < b else (b, a))
-
+    allowed = []
     for j in range(n):
         for (a, b), idx in zip(y_blocks[j], occurrence_triples[j]):
             xi, _, zk = t.triples[idx]
-            allow(x_vertices[xi], a)
-            allow(a, b)
-            allow(b, z_vertices[zk])
+            allowed += [(x_vertices[xi], a), (a, b), (b, z_vertices[zk])]
 
     blocks = []
     for j in range(n):

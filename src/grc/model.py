@@ -65,23 +65,31 @@ class SimpleGraph:
     """Labeled simple graph: vertices ``0..n-1``, no loops, no parallel edges.
 
     Edge pairs are stored with the smaller endpoint first; any iterable of
-    pairs is accepted and canonicalized.
+    pairs is accepted and canonicalized.  The vertex count and the endpoints
+    follow the integer rule of ``_integer``: a bool or a non-integral value
+    raises, it is never truncated.
     """
 
     vertex_count: int
     edges: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
+        n = self.vertex_count
+        if type(n) is not int:
+            n = _integer(n, "vertex count")
+            object.__setattr__(self, "vertex_count", n)
+        if n < 0:
             raise InvalidInstanceError("vertex count must be nonnegative")
         canon = set()
         for u, v in self.edges:
+            if type(u) is not int or type(v) is not int:
+                u, v = _integer(u, "edge endpoint"), _integer(v, "edge endpoint")
             if u == v:
                 raise InvalidInstanceError(f"loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if u < 0 or v >= self.vertex_count:
-                raise InvalidInstanceError(f"edge ({u},{v}) out of range for n={self.vertex_count}")
+            if u < 0 or v >= n:
+                raise InvalidInstanceError(f"edge ({u},{v}) out of range for n={n}")
             canon.add((u, v))
         object.__setattr__(self, "edges", frozenset(canon))
 

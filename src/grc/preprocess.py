@@ -14,7 +14,7 @@ entry, and ``to_instance`` or ``realized`` (which verifies the witness) at exit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import comb
 
 from .model import (Contradiction, CutConstraint, GrcInstance, SimpleGraph, SolveOutcome,
@@ -57,21 +57,28 @@ class Case4Gadget:
 TraceRecord = FixedEdgeEliminated | Case1Forbid | Case2Fix | Case3Gadget | Case4Gadget
 
 
+# The JSON form of each record: its kind, then one key per field in field
+# order; the set ``s`` is written as a list.
+_TRACE_JSON = {
+    FixedEdgeEliminated: ("fixed_edge_eliminated", ("u", "v")),
+    Case1Forbid: ("case1_forbid", ("s",)),
+    Case2Fix: ("case2_fix", ("s",)),
+    Case3Gadget: ("case3_gadget", ("s", "x")),
+    Case4Gadget: ("case4_gadget", ("s", "x", "y")),
+}
+
+
 def trace_to_json(trace) -> list[dict]:
     out = []
     for rec in trace:
-        if isinstance(rec, FixedEdgeEliminated):
-            out.append({"kind": "fixed_edge_eliminated", "u": rec.u, "v": rec.v})
-        elif isinstance(rec, Case1Forbid):
-            out.append({"kind": "case1_forbid", "s": list(rec.s)})
-        elif isinstance(rec, Case2Fix):
-            out.append({"kind": "case2_fix", "s": list(rec.s)})
-        elif isinstance(rec, Case3Gadget):
-            out.append({"kind": "case3_gadget", "s": list(rec.s), "x": rec.aux_x})
-        elif isinstance(rec, Case4Gadget):
-            out.append({"kind": "case4_gadget", "s": list(rec.s), "x": rec.aux_x, "y": rec.aux_y})
-        else:
+        if type(rec) not in _TRACE_JSON:
             raise TypeError(f"unknown trace record {rec!r}")
+        kind, keys = _TRACE_JSON[type(rec)]
+        doc = {"kind": kind}
+        for key, f in zip(keys, fields(rec)):
+            value = getattr(rec, f.name)
+            doc[key] = list(value) if key == "s" else value
+        out.append(doc)
     return out
 
 
@@ -79,16 +86,10 @@ def trace_from_json(docs) -> tuple[TraceRecord, ...]:
     out: list[TraceRecord] = []
     for doc in docs:
         kind = doc.get("kind")
-        if kind == "fixed_edge_eliminated":
-            out.append(FixedEdgeEliminated(doc["u"], doc["v"]))
-        elif kind == "case1_forbid":
-            out.append(Case1Forbid(tuple(doc["s"])))
-        elif kind == "case2_fix":
-            out.append(Case2Fix(tuple(doc["s"])))
-        elif kind == "case3_gadget":
-            out.append(Case3Gadget(tuple(doc["s"]), doc["x"]))
-        elif kind == "case4_gadget":
-            out.append(Case4Gadget(tuple(doc["s"]), doc["x"], doc["y"]))
+        for cls, (name, keys) in _TRACE_JSON.items():
+            if name == kind:
+                out.append(cls(*(tuple(doc[key]) if key == "s" else doc[key] for key in keys)))
+                break
         else:
             raise ValueError(f"unknown trace record kind {kind!r}")
     return tuple(out)

@@ -121,6 +121,14 @@ class TestSolve:
         assert (code, out) == (3, "")
         assert err == "error: resource: out of memory\n"
 
+    def test_unexpected_exception_exits_four(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("lost")
+        monkeypatch.setattr("grc.cli.solve", broken)
+        code, out, err = run_cli(capsys, "solve", write_instance(tmp_path, GrcInstance((1, 1))))
+        assert (code, out) == (4, "")
+        assert err == "error: internal: 'lost'\n"
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         path = write_instance(tmp_path, GrcInstance((2, 2, 2)))
         _, out1, _ = run_cli(capsys, "solve", path)
@@ -276,6 +284,18 @@ class TestGenerators:
         code, out, err = run_cli(capsys, "gen", "sat13", "--formula", str(formula), "--k", "1")
         assert (code, out) == (2, "")
         assert "must be an integer, got 3.9" in err
+
+    def test_sizes_too_large_to_index_exit_three(self, tmp_path, capsys):
+        # 10**20 does not fit an index, so the encoders raise OverflowError
+        # before they build any list
+        triples = tmp_path / "t.json"
+        triples.write_text(json.dumps({"n": 10**20, "triples": []}))
+        formula = tmp_path / "f.json"
+        formula.write_text(json.dumps({"vars": 10**20, "clauses": []}))
+        for argv in (("gen", "3dm", "--triples", str(triples)),
+                     ("gen", "sat13", "--formula", str(formula), "--k", "0")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (3, "", "error: resource: out of memory\n")
 
     def test_unknown_flag_usage_exit(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--frobnicate")

@@ -54,6 +54,23 @@ class TestSimpleGraph:
         with pytest.raises(InvalidInstanceError):
             SimpleGraph(3, [(0, 3)])
 
+    def test_integer_rule(self):
+        # a bool or a non-integral count or endpoint raises, it is never
+        # truncated (so (0, 1.0) cannot reach verify_realization's list
+        # indexing); an index-like value is read as the int it stands for
+        class Index:
+            def __index__(self):
+                return 2
+
+        for n, edges in ((3, [(0.5, 1)]), (True, []), (2.5, [(0, 1)]), (3, [(0, 1.0)]),
+                         (3, [(False, 1)])):
+            with pytest.raises(InvalidInstanceError, match="must be an integer"):
+                SimpleGraph(n, edges)
+        assert SimpleGraph(Index(), [(0, 1)]).vertex_count == 2
+        g = SimpleGraph(3, [(Index(), 0)])
+        assert g.edges == frozenset({(0, 2)})
+        assert all(type(v) is int for e in g.edges for v in e)
+
     def test_degree_sequence_and_neighbors(self):
         g = triangle()
         assert g.degree_sequence() == (2, 2, 2)

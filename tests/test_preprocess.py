@@ -18,7 +18,7 @@ from grc import (
     trace_to_json,
     verify_realization,
 )
-from grc.preprocess import Case3Gadget, Case4Gadget, FixedEdgeEliminated
+from grc.preprocess import Case1Forbid, Case2Fix, Case3Gadget, Case4Gadget, FixedEdgeEliminated
 from tests.bruteforce import brute_realizable, brute_realizations, random_instance
 
 
@@ -253,9 +253,13 @@ class TestPossibilityGraph:
 
 class TestTraceJson:
     def test_round_trip(self):
-        trace = (FixedEdgeEliminated(0, 1), Case3Gadget((0, 1, 2), 5),
-                 Case4Gadget((1, 2, 3), 6, 7))
-        assert trace_from_json(trace_to_json(trace)) == trace
+        trace = (FixedEdgeEliminated(0, 1), Case1Forbid((0, 1, 3)), Case2Fix((2, 3, 4)),
+                 Case3Gadget((0, 1, 2), 5), Case4Gadget((1, 2, 3), 6, 7))
+        docs = trace_to_json(trace)
+        assert [doc["kind"] for doc in docs] == [
+            "fixed_edge_eliminated", "case1_forbid", "case2_fix", "case3_gadget", "case4_gadget"]
+        assert docs[4] == {"kind": "case4_gadget", "s": [1, 2, 3], "x": 6, "y": 7}
+        assert trace_from_json(docs) == trace
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
