@@ -47,8 +47,6 @@ def max_matching(g: SimpleGraph) -> frozenset[tuple[int, int]]:
     for u, v in sorted(g.edges):
         adj[u].append(v)
         adj[v].append(u)
-    for lst in adj:
-        lst.sort()
     match = [-1] * n
     for u in range(n):  # greedy seed
         if match[u] == -1:

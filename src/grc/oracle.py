@@ -1,12 +1,15 @@
 """Exhaustive reference solvers, the ground truth at desk scale.
 
 Instances are decided by depth-first search over the undecided vertex pairs
-of the possibility graph (forbidden pairs are never branched on, forced edges
-are placed before the search starts).  Pruning: (a) a vertex's remaining
-demand must fit in its remaining undecided pairs, (b) each cut's remaining
-demand must fit between 0 and its remaining undecided crossing pairs.  The
-search is deterministic: pairs in ascending order, include tried before
-exclude.
+of an eliminated Core (forbidden pairs are never branched on, forced edges
+are placed before the search starts).  One generator, ``_realizations``,
+yields every realization in search order: ``oracle_solve`` takes the first,
+``enumerate_realizations`` the first ``cap``.  The solver hands it the Core
+as given, or, when the size-3 rewrite is refused, the Core that rewrite had
+reached.  Pruning: (a) a vertex's remaining demand must fit in its remaining
+undecided pairs, (b) each cut's remaining demand must fit between 0 and its
+remaining undecided crossing pairs.  The search is deterministic: pairs in
+ascending order, include tried before exclude.
 
 Also here: assignment enumeration for exactly-one-in-a-clause SAT and triple
 search for three-dimensional matching, used to cross-check the hardness
@@ -82,107 +85,86 @@ class _BudgetExhausted(RuntimeError):
     """The search visited more nodes than its budget allows."""
 
 
-class _EdgeSearch:
-    """Shared backtracking engine for oracle_solve and enumerate_realizations.
+def _realizations(core: Core, node_budget: int, prune: bool = True):
+    """Yield the realizations of the eliminated ``core``, lifted through its trace.
 
-    Searches the undecided pairs of an eliminated Core; ``run`` may be called
-    once, as it leaves the counters where the search stopped.
+    Depth-first over the undecided pairs with an explicit stack, one entry per
+    pair on the path, so the depth is not bounded by the recursion limit.
+    Raises Contradiction when a demand exceeds the undecided pairs before the
+    search starts, and _BudgetExhausted once it visits more than
+    ``node_budget`` nodes.
     """
+    n = core.vertex_count
+    quota = list(core.degrees)
+    pairs = [p for p in itertools.combinations(range(n), 2) if p not in core.forbidden]
+    avail = [0] * n
+    member_sets = [set(s) for s in core.cuts]
+    need = list(core.cuts.values())
+    cross_avail = [0] * len(member_sets)
+    pair_cut_ids: list[tuple[int, ...]] = []
+    for u, v in pairs:
+        ids = tuple(i for i, m in enumerate(member_sets) if (u in m) != (v in m))
+        pair_cut_ids.append(ids)
+        avail[u] += 1
+        avail[v] += 1
+        for i in ids:
+            cross_avail[i] += 1
+    if prune and (any(q > a for q, a in zip(quota, avail))
+                  or any(not 0 <= x <= c for x, c in zip(need, cross_avail))):
+        raise Contradiction("degree or cut demands exceed the undecided pairs")
+    total = len(pairs)
 
-    def __init__(self, core: Core, prune: bool = True):
-        self.core = core
-        self.prune = prune
-        self.blocked: str | None = None
-        n = core.vertex_count
-        self.quota = list(core.degrees)
-        self.pairs = [p for p in itertools.combinations(range(n), 2) if p not in core.forbidden]
-        self.avail = [0] * n
-        member_sets = [set(s) for s in core.cuts]
-        self.need = list(core.cuts.values())
-        self.cross_avail = [0] * len(member_sets)
-        self.pair_cut_ids: list[tuple[int, ...]] = []
-        for u, v in self.pairs:
-            ids = tuple(i for i, m in enumerate(member_sets) if (u in m) != (v in m))
-            self.pair_cut_ids.append(ids)
-            self.avail[u] += 1
-            self.avail[v] += 1
-            for i in ids:
-                self.cross_avail[i] += 1
-        if prune and (any(self.quota[v] > self.avail[v] for v in range(n))
-                      or any(not 0 <= self.need[i] <= self.cross_avail[i]
-                             for i in range(len(member_sets)))):
-            self.blocked = "degree or cut demands exceed the undecided pairs"
+    def fits(u: int, v: int, ids) -> bool:
+        return (not prune
+                or (quota[u] <= avail[u] and quota[v] <= avail[v]
+                    and all(need[i] <= cross_avail[i] for i in ids)))
 
-    def run(self, stop_after: int, node_budget: int) -> list[SimpleGraph]:
-        """Collect up to ``stop_after`` realizations, lifted through the Core's
-        trace; raises _BudgetExhausted.
+    def take(u: int, v: int, ids, step: int) -> None:
+        quota[u] -= step
+        quota[v] -= step
+        for i in ids:
+            need[i] -= step
 
-        Depth-first with an explicit stack, one entry per pair on the path, so
-        the depth is not bounded by the recursion limit.
-        """
-        if self.blocked is not None or stop_after <= 0:
-            return []
-        results: list[SimpleGraph] = []
-        quota, avail = self.quota, self.avail
-        need, cross_avail = self.need, self.cross_avail
-        pairs, pair_cut_ids = self.pairs, self.pair_cut_ids
-        prune = self.prune
-        total = len(pairs)
-
-        def fits(u: int, v: int, ids) -> bool:
-            return (not prune
-                    or (quota[u] <= avail[u] and quota[v] <= avail[v]
-                        and all(need[i] <= cross_avail[i] for i in ids)))
-
-        def take(u: int, v: int, ids, step: int) -> None:
-            quota[u] -= step
-            quota[v] -= step
-            for i in ids:
-                need[i] -= step
-
-        tried: list[int] = []  # per pair on the path: 0 opened, 1 included, 2 excluded
-        nodes = 0
-        while True:
-            nodes += 1
-            if nodes > node_budget:
-                raise _BudgetExhausted
-            depth = len(tried)
-            if depth < total:
-                u, v = pairs[depth]
-                avail[u] -= 1
-                avail[v] -= 1
-                for i in pair_cut_ids[depth]:
-                    cross_avail[i] -= 1
-                tried.append(0)
-            elif all(q == 0 for q in quota) and all(x == 0 for x in need):
-                picked = [p for p, t in zip(pairs, tried) if t == 1]
-                results.append(lift_realization(
-                    self.core.trace, SimpleGraph(self.core.vertex_count, picked)))
-                if len(results) >= stop_after:
-                    return results
-            # Take the next branch of the deepest pair that has one left.
-            while tried:
-                depth = len(tried) - 1
-                (u, v), ids = pairs[depth], pair_cut_ids[depth]
-                state = tried.pop()
-                if state == 1:
-                    take(u, v, ids, -1)
-                if state == 0 and (not prune or (quota[u] > 0 and quota[v] > 0
-                                                 and all(need[i] > 0 for i in ids))):
-                    take(u, v, ids, 1)
-                    if fits(u, v, ids):
-                        tried.append(1)
-                        break
-                    take(u, v, ids, -1)
-                if state < 2 and fits(u, v, ids):
-                    tried.append(2)
+    tried: list[int] = []  # per pair on the path: 0 opened, 1 included, 2 excluded
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > node_budget:
+            raise _BudgetExhausted
+        depth = len(tried)
+        if depth < total:
+            u, v = pairs[depth]
+            avail[u] -= 1
+            avail[v] -= 1
+            for i in pair_cut_ids[depth]:
+                cross_avail[i] -= 1
+            tried.append(0)
+        elif all(q == 0 for q in quota) and all(x == 0 for x in need):
+            picked = [p for p, t in zip(pairs, tried) if t == 1]
+            yield lift_realization(core.trace, SimpleGraph(n, picked))
+        # Take the next branch of the deepest pair that has one left.
+        while tried:
+            depth = len(tried) - 1
+            (u, v), ids = pairs[depth], pair_cut_ids[depth]
+            state = tried.pop()
+            if state == 1:
+                take(u, v, ids, -1)
+            if state == 0 and (not prune or (quota[u] > 0 and quota[v] > 0
+                                             and all(need[i] > 0 for i in ids))):
+                take(u, v, ids, 1)
+                if fits(u, v, ids):
+                    tried.append(1)
                     break
-                avail[u] += 1
-                avail[v] += 1
-                for i in ids:
-                    cross_avail[i] += 1
-            else:
-                return results
+                take(u, v, ids, -1)
+            if state < 2 and fits(u, v, ids):
+                tried.append(2)
+                break
+            avail[u] += 1
+            avail[v] += 1
+            for i in ids:
+                cross_avail[i] += 1
+        else:
+            return
 
 
 def oracle_solve(inst: GrcInstance | Core, node_budget: int = DEFAULT_NODE_BUDGET, *,
@@ -194,19 +176,14 @@ def oracle_solve(inst: GrcInstance | Core, node_budget: int = DEFAULT_NODE_BUDGE
     search visits more than ``node_budget`` nodes.
     """
     try:
-        core = as_core(inst)
+        witness = next(_realizations(as_core(inst), node_budget, prune), None)
     except Contradiction as exc:
         return SolveOutcome.infeasible(str(exc), method="oracle")
-    search = _EdgeSearch(core, prune=prune)
-    if search.blocked is not None:
-        return SolveOutcome.infeasible(search.blocked, method="oracle")
-    try:
-        results = search.run(1, node_budget)
     except _BudgetExhausted:
         return SolveOutcome.resource_limit(method="oracle")
-    if not results:
+    if witness is None:
         return SolveOutcome.infeasible("exhausted the search space", method="oracle")
-    return realized(results[0], inst, "oracle")
+    return realized(witness, inst, "oracle")
 
 
 def enumerate_realizations(inst: GrcInstance, cap: int,
@@ -218,11 +195,9 @@ def enumerate_realizations(inst: GrcInstance, cap: int,
     returning a partial answer silently.
     """
     try:
-        core = as_core(inst)
+        results = list(itertools.islice(_realizations(as_core(inst), node_budget), max(cap, 0)))
     except Contradiction:
         return []
-    try:
-        results = _EdgeSearch(core, prune=True).run(cap, node_budget)
     except _BudgetExhausted:
         raise _BudgetExhausted("node budget exhausted during enumeration") from None
     results.sort(key=SimpleGraph.sorted_edges)

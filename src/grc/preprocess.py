@@ -17,8 +17,9 @@ import itertools
 from dataclasses import dataclass, field, fields
 from math import comb
 
-from .model import (Contradiction, CutConstraint, GrcInstance, SimpleGraph, SolveOutcome,
-                    _canonical_cuts, degree_sum, verify_realization)
+from .model import (Contradiction, CutConstraint, GrcInstance, InvalidInstanceError,
+                    SimpleGraph, SolveOutcome, _canonical_cuts, _integer, degree_sum,
+                    verify_realization)
 
 
 # Rewrite records.  Applied in list order they turn the original instance into
@@ -82,16 +83,33 @@ def trace_to_json(trace) -> list[dict]:
     return out
 
 
+def _trace_field(doc: dict, key: str):
+    """The value of ``key`` in a trace record: ``s`` is a list of three
+    integers, every other field an integer under the rule of ``_integer``."""
+    if key not in doc:
+        raise InvalidInstanceError(f"trace record {doc['kind']!r} has no {key!r}")
+    value = doc[key]
+    if key != "s":
+        return _integer(value, f"trace field {key!r}")
+    if not isinstance(value, list) or len(value) != 3:
+        raise InvalidInstanceError(f"trace field 's' must be a list of three integers, got {value!r}")
+    return tuple(_integer(v, "trace set member") for v in value)
+
+
 def trace_from_json(docs) -> tuple[TraceRecord, ...]:
+    """The records ``trace_to_json`` wrote; a malformed record raises
+    InvalidInstanceError, a ValueError."""
     out: list[TraceRecord] = []
     for doc in docs:
+        if not isinstance(doc, dict):
+            raise InvalidInstanceError(f"trace record must be an object, got {doc!r}")
         kind = doc.get("kind")
         for cls, (name, keys) in _TRACE_JSON.items():
             if name == kind:
-                out.append(cls(*(tuple(doc[key]) if key == "s" else doc[key] for key in keys)))
+                out.append(cls(*(_trace_field(doc, key) for key in keys)))
                 break
         else:
-            raise ValueError(f"unknown trace record kind {kind!r}")
+            raise InvalidInstanceError(f"unknown trace record kind {kind!r}")
     return tuple(out)
 
 
@@ -163,11 +181,12 @@ class Core:
         Placing (u, v) lowers d_u, d_v and the demand of every cut it crosses.
         A pair cut at u or v other than {u, v} loses one from both its demand
         and its degree sum, so no other verdict changes and one pass suffices.
+        A later forced pair whose demand an edge drops to 0 has an endpoint at
+        degree 0 by the time it is reached, so the degree check rejects it.
         """
         self.check_clash()
         degrees, cuts = self.degrees, self.cuts
-        pending = sorted(self.forced)
-        for i, (u, v) in enumerate(pending):
+        for u, v in sorted(self.forced):
             if degrees[u] == 0 or degrees[v] == 0:
                 raise Contradiction(f"forced edge ({u},{v}) would drive a degree below zero")
             degrees[u] -= 1
@@ -178,13 +197,6 @@ class Core:
                         raise Contradiction(
                             f"forced edge ({u},{v}) crosses cut {s} of demanded size 0")
                     cuts[s] = ell - 1
-            # A later forced pair (a, b) sharing an endpoint is a crossed pair
-            # cut; its demand d_a + d_b - 2, before this edge, is 0 exactly when
-            # the degrees now sum to 1.
-            for a, b in pending[i + 1:]:
-                if (a in (u, v) or b in (u, v)) and degrees[a] + degrees[b] == 1:
-                    raise Contradiction(
-                        f"forced edge ({u},{v}) crosses cut {(a, b)} of demanded size 0")
             self.forbidden.add((u, v))
             self.trace.append(FixedEdgeEliminated(u, v))
         self.forced.clear()

@@ -38,10 +38,15 @@ class Size3Case(Enum):
 
 
 class UnsafeReduction(Exception):
-    """The helper-vertex rewrite cannot be trusted here; fall back to search."""
+    """The helper-vertex rewrite cannot be trusted here; fall back to search.
 
-    def __init__(self, offenders):
+    ``core``, when set, is the eliminated Core the rewrite had reached, with
+    the same realizations as its input; the search can start from it.
+    """
+
+    def __init__(self, offenders, core: Core | None = None):
         self.offenders = tuple(offenders)
+        self.core = core
         msg = "; ".join(f"cut {o['set']}: {o['reason']}" for o in self.offenders)
         super().__init__(msg or "unsafe reduction")
 
@@ -175,7 +180,8 @@ def reduce_to_width2(inst: GrcInstance | Core, *, guard: bool = True):
     general and exists for diagnostics), Contradiction when the rewrites
     surface genuinely conflicting constraints.  Returns the reduced instance
     (a Core for a Core) and the trace from the instance the input was built
-    from.
+    from.  An UnsafeReduction carries as ``core`` the eliminated Core that
+    holds every forbid/fix rewrite made before the refusal.
     """
     from_instance = isinstance(inst, GrcInstance)
     work = _classify_pairs(inst.degrees, inst.cuts) if from_instance else inst.copy()
@@ -197,7 +203,7 @@ def reduce_to_width2(inst: GrcInstance | Core, *, guard: bool = True):
         if target is None:
             offenders = [o for s in size3 for o in _safety_violations(work, s)] if guard else []
             if offenders:
-                raise UnsafeReduction(offenders)
+                raise UnsafeReduction(offenders, work)
             target = size3[0]
         _rewrite(work, target, cases[target])
     return (work.to_instance() if from_instance else work), tuple(work.trace)

@@ -8,7 +8,8 @@ Core.  Its degree-exact subgraph of the possibility graph
 "tree": the subgraph is unique, and the other cuts are checked on it) or
 when all cut sets have size <= 2 (route "ffactor").
 Otherwise the size-3 rewrite plus matching runs when the guard admits it, and
-pruned exhaustive search when it does not or cut sets are larger.
+pruned exhaustive search when cut sets are larger or the guard refuses; a
+refused rewrite hands the search the Core it had reached.
 The witness of any route is verified once, against the instance as given.
 """
 
@@ -89,7 +90,7 @@ def solve(inst: GrcInstance, *, method: str = "auto",
         except UnsafeReduction as exc:
             if method == "reduce3":
                 raise MethodNotApplicable(f"size-3 rewrite is unsafe here: {exc}") from exc
-            outcome = oracle_solve(core, node_budget)
+            outcome = oracle_solve(exc.core, node_budget)
         except Contradiction as exc:
             return SolveOutcome.infeasible(str(exc), method="reduce3")
     else:

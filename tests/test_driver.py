@@ -62,6 +62,26 @@ class TestDispatch:
         assert out.method == "oracle"
         assert out.is_realizable and out.witness.edges == frozenset({(0, 1)})
 
+    def test_refused_rewrite_hands_its_core_to_the_search(self):
+        # the two sets share two vertices, so the guard refuses once the
+        # case-1 rewrite of (0, 1, 6) has forbidden the pair (0, 6)
+        inst = GrcInstance((2, 3, 1, 2, 1, 3, 2, 2),
+                           (CutConstraint((0, 1, 6), 7), CutConstraint((0, 3, 6), 4)))
+        core = screen_instance(inst)
+        core.eliminate()
+        with pytest.raises(UnsafeReduction) as refused:
+            reduce_to_width2(core)
+        settled = refused.value.core
+        assert not settled.forced
+        assert settled.trace[:len(core.trace)] == core.trace
+        assert settled.forbidden >= {(0, 1), (0, 6), (1, 6)}
+        # from the settled Core the search finds the same first witness,
+        # within a budget the unrewritten Core runs out of
+        out = solve(inst, node_budget=100)
+        assert out.method == "oracle" and out.is_realizable
+        assert out.witness.sorted_edges() == [(0, 2), (0, 3), (1, 3), (1, 4), (1, 5),
+                                              (5, 6), (5, 7), (6, 7)]
+
     def test_width4_uses_oracle(self):
         inst = GrcInstance((1,) * 8, (CutConstraint((0, 1, 2, 3), 4),))
         out = solve(inst)

@@ -7,6 +7,7 @@ from grc import (
     Contradiction,
     CutConstraint,
     GrcInstance,
+    InvalidInstanceError,
     build_pair_ledger,
     eliminate_fixed_edges,
     feasible_ell_set,
@@ -166,9 +167,15 @@ class TestEliminateFixedEdges:
         assert reduced == inst and trace == ()
 
     def test_degree_would_go_negative(self):
-        inst = GrcInstance((0, 2, 0), (CutConstraint((0, 1), 0),))
-        with pytest.raises(Contradiction, match="below zero"):
-            eliminate_fixed_edges(inst)
+        for inst in (
+            GrcInstance((0, 2, 0), (CutConstraint((0, 1), 0),)),
+            # placing (0,1) leaves (0,2) with degrees 0 and 1: one pass
+            # rejects (0,2) when it is reached, with no look-ahead
+            GrcInstance((1, 1, 1, 1, 0, 0),
+                        (CutConstraint((0, 1), 0), CutConstraint((0, 2), 0))),
+        ):
+            with pytest.raises(Contradiction, match="below zero"):
+                eliminate_fixed_edges(inst)
 
     def test_crossing_pair_cut_stays_classified(self):
         # forced (0,1) shares vertex 0 with the excluded pair (0,2)
@@ -264,3 +271,15 @@ class TestTraceJson:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             trace_from_json([{"kind": "mystery"}])
+
+    @pytest.mark.parametrize("docs", [
+        [1],
+        [{"kind": "case1_forbid"}],
+        [{"kind": "case3_gadget", "s": [0, 1, 2], "x": 1.5}],
+        [{"kind": "fixed_edge_eliminated", "u": True, "v": "a"}],
+        [{"kind": "case2_fix", "s": [0, 1]}],
+        [{"kind": "case2_fix", "s": 7}],
+    ])
+    def test_malformed_record_is_invalid(self, docs):
+        with pytest.raises(InvalidInstanceError):
+            trace_from_json(docs)
