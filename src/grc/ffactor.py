@@ -177,9 +177,7 @@ def tutte_gadget(host: SimpleGraph, f) -> GadgetMatchingGraph | None:
         nxt += spare
     edge_reps: dict[tuple[int, int], tuple[int, int]] = {}
     for idx, (u, v) in enumerate(host_edges):
-        a, b = ext_of[(u, idx)], ext_of[(v, idx)]
-        if a > b:
-            a, b = b, a
+        a, b = ext_of[(u, idx)], ext_of[(v, idx)]  # a < b: u < v, numbered in vertex order
         gadget_edges.append((a, b))
         edge_reps[(u, v)] = (a, b)
     return GadgetMatchingGraph(SimpleGraph(nxt, frozenset(gadget_edges)), edge_reps)

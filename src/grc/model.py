@@ -269,11 +269,16 @@ def width(inst: GrcInstance) -> int:
 
 
 def normalize(inst: GrcInstance) -> GrcInstance:
-    """Canonicalize the cut list by the rule of ``_canonical_cuts``: larger
-    sides complemented, single-vertex sets checked and dropped, duplicates
-    merged.  Every kept set lies within the instance's vertices, so the
-    result skips the cut checks."""
-    return _checked_instance(inst.degrees, tuple(_canonical_cuts(inst)))
+    """Canonicalize the cut list by the rule of ``_canonical_cuts`` and keep
+    the first cut on each set (two sizes for one set raise Contradiction);
+    every kept set lies within the instance's vertices, so no cut is rechecked."""
+    kept: dict[tuple[int, ...], CutConstraint] = {}
+    for cut in _canonical_cuts(inst):
+        first = kept.setdefault(cut.members, cut)
+        if first.ell != cut.ell:
+            raise Contradiction(
+                f"cut set {cut.members} demanded with two different sizes {first.ell} and {cut.ell}")
+    return _checked_instance(inst.degrees, tuple(kept.values()))
 
 
 def _canonical_cuts(inst: GrcInstance):
@@ -282,12 +287,11 @@ def _canonical_cuts(inst: GrcInstance):
     Each set larger than half the vertices is replaced by its complement (the
     cut is identical); a half-sized set keeps the variant containing vertex 0.
     Single-vertex sets are degree statements: contradicting ones raise
-    Contradiction, matching ones are dropped.  Duplicate sets are dropped;
-    the same set demanded with two different sizes raises Contradiction.  A
-    cut that is not complemented is yielded as the same object.
+    Contradiction, matching ones are dropped.  A cut that is not complemented
+    is yielded as the same object.  Duplicates are yielded too: ``normalize``
+    and the screen's Core each merge them in the map they keep.
     """
     n = inst.vertex_count
-    kept: dict[tuple[int, ...], CutConstraint] = {}
     for cut in inst.cuts:
         members = cut.members
         size = len(members)
@@ -299,12 +303,6 @@ def _canonical_cuts(inst: GrcInstance):
             if cut.ell != inst.degrees[v]:
                 raise Contradiction(
                     f"cut on single vertex {v} demands {cut.ell} but its degree is {inst.degrees[v]}")
-            continue
-        first = kept.setdefault(members, cut)
-        if first is not cut:
-            if first.ell != cut.ell:
-                raise Contradiction(
-                    f"cut set {members} demanded with two different sizes {first.ell} and {cut.ell}")
             continue
         yield cut if members is cut.members else CutConstraint(members, cut.ell)
 

@@ -6,10 +6,10 @@ are placed before the search starts).  One generator, ``_realizations``,
 yields every realization in search order: ``oracle_solve`` takes the first,
 ``enumerate_realizations`` the first ``cap``.  The solver hands it the Core
 as given, or, when the size-3 rewrite is refused, the Core that rewrite had
-reached.  Pruning: (a) a vertex's remaining demand must fit in its remaining
-undecided pairs, (b) each cut's remaining demand must fit between 0 and its
-remaining undecided crossing pairs.  The search is deterministic: pairs in
-ascending order, include tried before exclude.
+reached.  Pruning keeps, at every node, (a) each vertex's remaining demand
+within its undecided pairs and (b) each cut's within 0 and its undecided
+crossing pairs.  The search is deterministic: pairs in ascending order,
+include tried before exclude.
 
 Also here: assignment enumeration for exactly-one-in-a-clause SAT and triple
 search for three-dimensional matching, used to cross-check the hardness
@@ -92,7 +92,11 @@ def _realizations(core: Core, node_budget: int, prune: bool = True):
     pair on the path, so the depth is not bounded by the recursion limit.
     Raises Contradiction when a demand exceeds the undecided pairs before the
     search starts, and _BudgetExhausted once it visits more than
-    ``node_budget`` nodes.
+    ``node_budget`` nodes.  With ``prune`` every node keeps 0 <= quota[w] <=
+    avail[w] and 0 <= need[i] <= cross_avail[i], as that bound sets up:
+    opening (u, v) lowers avail and cross_avail where including it lowers
+    quota and need, so an include is tested only against 0 and an exclude
+    only against the pairs left.
     """
     n = core.vertex_count
     quota = list(core.degrees)
@@ -112,12 +116,6 @@ def _realizations(core: Core, node_budget: int, prune: bool = True):
     if prune and (any(q > a for q, a in zip(quota, avail))
                   or any(not 0 <= x <= c for x, c in zip(need, cross_avail))):
         raise Contradiction("degree or cut demands exceed the undecided pairs")
-    total = len(pairs)
-
-    def fits(u: int, v: int, ids) -> bool:
-        return (not prune
-                or (quota[u] <= avail[u] and quota[v] <= avail[v]
-                    and all(need[i] <= cross_avail[i] for i in ids)))
 
     def take(u: int, v: int, ids, step: int) -> None:
         quota[u] -= step
@@ -132,7 +130,7 @@ def _realizations(core: Core, node_budget: int, prune: bool = True):
         if nodes > node_budget:
             raise _BudgetExhausted
         depth = len(tried)
-        if depth < total:
+        if depth < len(pairs):
             u, v = pairs[depth]
             avail[u] -= 1
             avail[v] -= 1
@@ -147,16 +145,15 @@ def _realizations(core: Core, node_budget: int, prune: bool = True):
             depth = len(tried) - 1
             (u, v), ids = pairs[depth], pair_cut_ids[depth]
             state = tried.pop()
-            if state == 1:
-                take(u, v, ids, -1)
             if state == 0 and (not prune or (quota[u] > 0 and quota[v] > 0
                                              and all(need[i] > 0 for i in ids))):
                 take(u, v, ids, 1)
-                if fits(u, v, ids):
-                    tried.append(1)
-                    break
+                tried.append(1)
+                break
+            if state == 1:
                 take(u, v, ids, -1)
-            if state < 2 and fits(u, v, ids):
+            if state < 2 and (not prune or (quota[u] <= avail[u] and quota[v] <= avail[v]
+                                            and all(need[i] <= cross_avail[i] for i in ids))):
                 tried.append(2)
                 break
             avail[u] += 1

@@ -3,12 +3,13 @@
 A size-2 cut is a verdict on one vertex pair: demanded size d_u + d_v forbids
 the edge, d_u + d_v - 2 forces it ("fixed").  The screen reads the instance
 as given, in one pass over its cuts: it puts each cut on its canonical side
-(``model._canonical_cuts``), tests its demand and builds the ``Core``
+(``model._canonical_cuts``), tests its demand and merges it into the ``Core``
 (``_classify_pairs``): residual degrees, forbidden and forced pair sets, the
 other cuts with their residual demand, and the rewrite trace.
 ``Core.eliminate`` places the forced edges in one pass; every solver route
-then works on the Core and never reads a size-2 cut again.  Public functions still accept instances: ``as_core`` converts at
-entry, and ``to_instance`` or ``realized`` (which verifies the witness) at exit.
+then works on the Core and never reads a size-2 cut again.  Public functions
+still accept instances: ``as_core`` converts at entry, and ``to_instance`` or
+``realized`` (which verifies the witness) at exit.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ def _trace_field(doc: dict, key: str):
 
 
 def trace_from_json(docs) -> tuple[TraceRecord, ...]:
-    """The records ``trace_to_json`` wrote; a malformed record raises
-    InvalidInstanceError, a ValueError."""
+    """The records ``trace_to_json`` wrote; a malformed record, or one whose
+    vertices are not distinct naturals, raises InvalidInstanceError."""
     out: list[TraceRecord] = []
     for doc in docs:
         if not isinstance(doc, dict):
@@ -106,7 +107,12 @@ def trace_from_json(docs) -> tuple[TraceRecord, ...]:
         kind = doc.get("kind")
         for cls, (name, keys) in _TRACE_JSON.items():
             if name == kind:
-                out.append(cls(*(_trace_field(doc, key) for key in keys)))
+                values = [_trace_field(doc, key) for key in keys]
+                named = [*values[0], *values[1:]] if keys[0] == "s" else values
+                if min(named) < 0 or len(set(named)) < len(named):
+                    raise InvalidInstanceError(
+                        f"trace record {kind!r} names vertices {named}, not distinct naturals")
+                out.append(cls(*values))
                 break
         else:
             raise InvalidInstanceError(f"unknown trace record kind {kind!r}")
@@ -215,9 +221,9 @@ def _classify_pairs(degrees: tuple[int, ...], cuts) -> Core:
 
     A demand is tested as membership in ``feasible_ell_set``: gap = d(S) - ell
     must be twice the edges inside S, so even, with 0 <= gap <= 2 C(|S|, 2).
-    A pair's gap is then 0, which forbids its edge, or 2, which forces it.
-    The cut sets are trusted as validated by ``GrcInstance`` and read as
-    written; only the screen canonicalizes them first.
+    A pair's gap is then 0, which forbids its edge, or 2, which forces it; a
+    repeated pair may not do both, and a repeated larger set keeps its ell.
+    The sets are trusted as validated by ``GrcInstance`` and read as written.
     """
     core = Core(list(degrees), set(), set(), {})
     for cut in cuts:

@@ -2,14 +2,18 @@
 
 Everything here re-derives answers from first principles (raw subset
 enumeration, token packing) so the library code is checked against logic that
-shares none of its machinery.
+shares none of its machinery.  The one exception, ``differential_sweep``, runs
+the library's two deciders against each other and checks their witnesses
+with ``satisfies``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
-from grc import CutConstraint, GrcInstance, OneInThreeInstance, SimpleGraph, ThreeDMInstance
+from grc import (CutConstraint, GrcInstance, OneInThreeInstance, SimpleGraph, ThreeDMInstance,
+                 oracle_solve, solve)
 
 
 def all_graphs(n: int):
@@ -143,6 +147,48 @@ def random_width3_instance(rng, n=6):
         else:
             cuts.append(CutConstraint((u, v), ds))
     return GrcInstance(degrees, tuple(cuts))
+
+
+def planted_instance(g: SimpleGraph, sets) -> GrcInstance:
+    """The degrees of ``g``, with each set in ``sets`` demanding the cut size
+    it has in ``g``."""
+    cuts = []
+    for s in sets:
+        inside = set(s)
+        cuts.append(CutConstraint(s, sum(1 for u, v in g.edges if (u in inside) != (v in inside))))
+    return GrcInstance(g.degree_sequence(), tuple(cuts))
+
+
+def random_planted_instance(rng):
+    """A G(n, 1/2) graph on 6 to 8 vertices with 1 to 3 random triples, plus a
+    random pair on half of the instances, each demanding its cut size in the
+    graph; on 30% of the cuts that size is then moved by 2 either way (never
+    below 0), so some instances are infeasible."""
+    n = rng.randint(6, 8)
+    edges = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+    sets = [tuple(sorted(rng.sample(range(n), 3))) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        sets.append(tuple(sorted(rng.sample(range(n), 2))))
+    inst = planted_instance(SimpleGraph(n, edges), sets)
+    cuts = tuple(CutConstraint(c.members, max(0, c.ell + rng.choice((-2, 2))))
+                 if rng.random() < 0.3 else c for c in inst.cuts)
+    return GrcInstance(inst.degrees, cuts)
+
+
+def differential_sweep(instances, planted: bool = False) -> Counter:
+    """Solve each instance with ``solve`` and with ``oracle_solve``; assert that
+    they agree on status, that every witness satisfies the instance and, for
+    ``planted`` instances, that there is one.  Returns how often each
+    ``solve`` method (route) ran."""
+    routes: Counter = Counter()
+    for inst in instances:
+        out, ref = solve(inst), oracle_solve(inst)
+        assert out.status == ref.status, (inst, out, ref)
+        assert out.is_realizable or not planted, (inst, out)
+        for witness in (out.witness, ref.witness):
+            assert witness is None or satisfies(inst, witness), (inst, witness)
+        routes[out.method] += 1
+    return routes
 
 
 def random_tree_edges(rng, n) -> list[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import os
@@ -87,6 +88,12 @@ class TestSolve:
         code, _, _ = run_cli(capsys, "solve", path, "--method", "oracle")
         assert code == 3
 
+    def test_reads_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(instance_to_json(GrcInstance((1, 1))))))
+        code, out, _ = run_cli(capsys, "solve", "-")
+        assert code == 0
+        assert json.loads(out) == {"method": "tree", "realizable": True}
+
     def test_negative_budget_exit_two(self, tmp_path, capsys):
         path = write_instance(tmp_path, GrcInstance((1, 1)))
         code, out, err = run_cli(capsys, "solve", path, "--budget", "-5")
@@ -94,9 +101,11 @@ class TestSolve:
 
     def test_negative_env_budget_exit_two(self, tmp_path, capsys, monkeypatch):
         path = write_instance(tmp_path, GrcInstance((1, 1)))
-        monkeypatch.setenv("GRC_BUDGET", "-1")
-        code, out, err = run_cli(capsys, "solve", path)
-        assert code == 2 and out == "" and err.startswith("error:")
+        for env, message in (("-1", "GRC_BUDGET must be nonnegative, got -1"),
+                             ("abc", "GRC_BUDGET must be an integer, got 'abc'")):
+            monkeypatch.setenv("GRC_BUDGET", env)
+            code, out, err = run_cli(capsys, "solve", path)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_inapplicable_method_exit_two(self, tmp_path, capsys):
         path = write_instance(tmp_path, GrcInstance((1, 1, 1, 1)))
@@ -159,9 +168,12 @@ class TestVerify:
 
 
 class TestDegseq:
-    def test_k4(self, capsys):
-        code, out, _ = run_cli(capsys, "degseq", "3,3,3,3")
+    def test_k4(self, tmp_path, capsys):
+        witness = tmp_path / "w.json"
+        code, out, _ = run_cli(capsys, "degseq", "3,3,3,3", "--witness", str(witness))
         assert code == 0 and json.loads(out)["realizable"] is True
+        assert json.loads(witness.read_text()) == {
+            "n": 4, "edges": [list(p) for p in itertools.combinations(range(4), 2)]}
 
     def test_odd(self, capsys):
         code, out, _ = run_cli(capsys, "degseq", "1,1,1")
@@ -176,8 +188,10 @@ class TestFFactor:
     def test_triangle(self, tmp_path, capsys):
         host = tmp_path / "host.json"
         host.write_text('{"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}')
-        code, out, _ = run_cli(capsys, "ffactor", str(host), "--f", "2,2,2")
+        witness = tmp_path / "w.json"
+        code, out, _ = run_cli(capsys, "ffactor", str(host), "--f", "2,2,2", "--witness", str(witness))
         assert code == 0 and json.loads(out)["feasible"] is True
+        assert json.loads(witness.read_text()) == json.loads(host.read_text())
 
     def test_infeasible(self, tmp_path, capsys):
         host = tmp_path / "host.json"
@@ -222,10 +236,13 @@ class TestReduce3:
 class TestOracleCommand:
     def test_enumerate(self, tmp_path, capsys):
         path = write_instance(tmp_path, GrcInstance((1, 1, 1, 1)))
-        code, out, _ = run_cli(capsys, "oracle", path, "--enumerate", "10")
+        witness = tmp_path / "w.json"
+        code, out, _ = run_cli(capsys, "oracle", path, "--enumerate", "10", "--witness", str(witness))
         assert code == 0
         doc = json.loads(out)
         assert doc["count"] == 3 and doc["realizable"] is True
+        assert json.loads(witness.read_text()) == [
+            {"n": 4, "edges": edges} for edges in ([[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 3], [1, 2]])]
 
     def test_enumerate_needs_a_positive_count(self, tmp_path, capsys):
         path = write_instance(tmp_path, GrcInstance((1, 1)))
@@ -271,6 +288,22 @@ class TestGenerators:
         code, out, _ = run_cli(capsys, "gen", "3dm", "--triples", str(triples))
         assert code == 0
         assert len(json.loads(out)["degrees"]) == 18
+
+    def test_gen_3dm_with_map(self, tmp_path, capsys):
+        # the README's triples example
+        triples = tmp_path / "t.json"
+        triples.write_text(json.dumps({"n": 3, "triples": [[0, 0, 0], [0, 1, 1], [1, 0, 0]]}))
+        mpath = tmp_path / "map.json"
+        code, out, _ = run_cli(capsys, "gen", "3dm", "--triples", str(triples), "--map", str(mpath))
+        assert code == 0
+        assert json.loads(out)["degrees"] == [1] * 12
+        assert json.loads(mpath.read_text()) == {
+            "x": [0, 1, 2],
+            "y": [{"element": 0, "occurrences": [{"triple": 0, "a": 3, "b": 4},
+                                                 {"triple": 2, "a": 5, "b": 6}]},
+                  {"element": 1, "occurrences": [{"triple": 1, "a": 7, "b": 8}]},
+                  {"element": 2, "occurrences": []}],
+            "z": [9, 10, 11]}
 
     def test_gen_refuses_non_integers(self, tmp_path, capsys):
         # 1.5 is not read as 1, and a fractional variable count is not a crash

@@ -139,6 +139,8 @@ class TestSatToGrc:
         inst, gm = sat_to_grc(FIG2, 1)
         for v in range(inst.vertex_count):
             assert gm.role_of(v)
+        with pytest.raises(KeyError, match="has no role"):
+            gm.role_of(inst.vertex_count)
 
     def test_possibility_graph_structure(self):
         # 2 block edges per variable, 3 per clause, 3 wiring edges per
@@ -258,6 +260,18 @@ class TestTdmToGrc:
         assert inst.vertex_count == 18
         assert set(inst.degrees) == {1}
         assert width(inst) == 6
+
+    def test_roles(self):
+        # the README's triples: x vertices, then a pair per occurrence of each
+        # middle element, then z vertices
+        inst, gm = tdm_to_grc(ThreeDMInstance(3, ((0, 0, 0), (0, 1, 1), (1, 0, 0))))
+        assert [gm.role_of(v) for v in range(inst.vertex_count)] == [
+            ("x", 0), ("x", 1), ("x", 2),
+            ("y", 0, 0, "a"), ("y", 0, 0, "b"), ("y", 0, 1, "a"), ("y", 0, 1, "b"),
+            ("y", 1, 0, "a"), ("y", 1, 0, "b"),
+            ("z", 0), ("z", 1), ("z", 2)]
+        with pytest.raises(KeyError, match="has no role"):
+            gm.role_of(inst.vertex_count)
 
     def test_fig3_realizable_and_decodes(self):
         inst, gm = tdm_to_grc(FIG3)

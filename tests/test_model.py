@@ -242,6 +242,12 @@ class TestNormalize:
         inst = GrcInstance((2, 2, 2, 2), (CutConstraint((0, 1), 2), CutConstraint((0, 1), 2)))
         assert len(normalize(inst).cuts) == 1
 
+    def test_dedup_keys_on_the_set(self):
+        # one object listed twice is one cut, also when its larger side is given
+        for cut in (CutConstraint((0, 1, 2), 3), CutConstraint((3, 4, 5, 6), 3)):
+            inst = GrcInstance((1, 1, 1, 1, 0, 0, 0), (cut, cut))
+            assert normalize(inst).cuts == (CutConstraint((0, 1, 2), 3),)
+
     def test_half_size_tie_keeps_vertex_zero(self):
         inst = GrcInstance((1, 1, 1, 1), (CutConstraint((2, 3), 2),))
         assert normalize(inst).cuts[0].members == (0, 1)

@@ -279,6 +279,11 @@ class TestTraceJson:
         [{"kind": "fixed_edge_eliminated", "u": True, "v": "a"}],
         [{"kind": "case2_fix", "s": [0, 1]}],
         [{"kind": "case2_fix", "s": 7}],
+        [{"kind": "fixed_edge_eliminated", "u": 2, "v": 2}],
+        [{"kind": "fixed_edge_eliminated", "u": -1, "v": 3}],
+        [{"kind": "case1_forbid", "s": [2, 2, 2]}],
+        [{"kind": "case3_gadget", "s": [0, 0, 1], "x": -4}],
+        [{"kind": "case4_gadget", "s": [0, 1, 2], "x": 5, "y": 5}],
     ])
     def test_malformed_record_is_invalid(self, docs):
         with pytest.raises(InvalidInstanceError):
