@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .model import SimpleGraph
+from .model import SimpleGraph, _integer
 
 
 def erdos_gallai(degrees) -> bool:
@@ -11,7 +11,7 @@ def erdos_gallai(degrees) -> bool:
     Checks the even-sum condition and, over the non-increasing reordering,
     sum(d_1..d_k) <= k(k-1) + sum_{i>k} min(d_i, k) for every 1 <= k <= n.
     """
-    d = sorted(degrees, reverse=True)
+    d = sorted((_integer(x, "degree") for x in degrees), reverse=True)
     if any(x < 0 for x in d):
         raise ValueError("degrees must be nonnegative")
     if sum(d) % 2:
@@ -34,6 +34,7 @@ def havel_hakimi(degrees) -> SimpleGraph | None:
     vertex i keeps degree degrees[i] under the original labeling.  Returns
     None when the sequence is not graphic.
     """
+    degrees = [_integer(x, "degree") for x in degrees]
     if any(x < 0 for x in degrees):
         raise ValueError("degrees must be nonnegative")
     n = len(degrees)

@@ -19,7 +19,9 @@ Three constructions:
   forcing exactly one occurrence to reach outward.
 
 Vertex numbering is deterministic and recorded in the returned map, which
-also carries the generated instance so decoders are self-contained.
+also carries the generated instance so decoders are self-contained.  The
+decoders read the map's vertex blocks; ``to_json`` is the form ``grc gen
+--map`` writes, and the one place a vertex's role is spelled out.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ def two_one_violations(f: OneInThreeInstance) -> list[str]:
         if (pos[i], neg[i]) != (2, 1):
             out.append(f"variable {i + 1} occurs {pos[i]}x positive / {neg[i]}x negative")
     return out
-
-
-def is_two_one(f: OneInThreeInstance) -> bool:
-    return not two_one_violations(f)
 
 
 def monotone_to_21(f: OneInThreeInstance) -> OneInThreeInstance:
@@ -110,7 +108,7 @@ def _forbid_the_rest(degrees: tuple[int, ...], blocks: list[CutConstraint],
 
 @dataclass(frozen=True)
 class SatGadgetMap:
-    """Vertex roles for a sat_to_grc instance, keyed by vertex index."""
+    """The vertex blocks of a sat_to_grc instance, with the formula and budget."""
 
     formula: OneInThreeInstance
     k: int
@@ -120,19 +118,6 @@ class SatGadgetMap:
     clause_blocks: tuple[tuple[int, int, int], ...]
     clause_literals: tuple[tuple[int | None, int | None, int | None], ...]  # None = artificial
     sink_vertices: tuple[int, ...]
-
-    def role_of(self, v: int) -> tuple:
-        for i, block in enumerate(self.var_blocks):
-            if v in block:
-                return ("variable", i, ("T1", "T2", "F1", "F2")[block.index(v)])
-        for j, block in enumerate(self.clause_blocks):
-            if v in block:
-                slot = block.index(v)
-                lit = self.clause_literals[j][slot]
-                return ("clause", j, "artificial" if lit is None else f"literal {lit}")
-        if v in self.sink_vertices:
-            return ("sink", self.sink_vertices.index(v))
-        raise KeyError(f"vertex {v} has no role")
 
     def to_json(self) -> dict:
         return {
@@ -237,7 +222,7 @@ def decode_sat_witness(g: SimpleGraph, gm: SatGadgetMap) -> tuple[bool, ...]:
 
 @dataclass(frozen=True)
 class TdmGadgetMap:
-    """Vertex roles for a tdm_to_grc instance, keyed by vertex index."""
+    """The vertex blocks of a tdm_to_grc instance, with the triple system."""
 
     source: ThreeDMInstance
     instance: GrcInstance
@@ -245,19 +230,6 @@ class TdmGadgetMap:
     z_vertices: tuple[int, ...]
     y_blocks: tuple[tuple[tuple[int, int], ...], ...]  # per middle element, (a, b) per occurrence
     occurrence_triples: tuple[tuple[int, ...], ...]    # per middle element, triple indices
-
-    def role_of(self, v: int) -> tuple:
-        if v in self.x_vertices:
-            return ("x", self.x_vertices.index(v))
-        if v in self.z_vertices:
-            return ("z", self.z_vertices.index(v))
-        for j, block in enumerate(self.y_blocks):
-            for u, (a, b) in enumerate(block):
-                if v == a:
-                    return ("y", j, u, "a")
-                if v == b:
-                    return ("y", j, u, "b")
-        raise KeyError(f"vertex {v} has no role")
 
     def to_json(self) -> dict:
         return {

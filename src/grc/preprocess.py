@@ -8,8 +8,9 @@ as given, in one pass over its cuts: it puts each cut on its canonical side
 other cuts with their residual demand, and the rewrite trace.
 ``Core.eliminate`` places the forced edges in one pass; every solver route
 then works on the Core and never reads a size-2 cut again.  Public functions
-still accept instances: ``as_core`` converts at entry, and ``to_instance`` or
-``realized`` (which verifies the witness) at exit.
+still accept instances or a Core: ``as_core`` classifies and eliminates at
+entry, and ``to_instance`` or ``realized`` (which verifies the witness) at exit.
+The trace is output only: ``grc reduce3 --trace`` writes it, nothing reads it.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import itertools
 from dataclasses import dataclass, field, fields
 from math import comb
 
-from .model import (Contradiction, CutConstraint, GrcInstance, InvalidInstanceError,
-                    SimpleGraph, SolveOutcome, _canonical_cuts, _integer, degree_sum,
-                    verify_realization)
+from .model import (Contradiction, CutConstraint, GrcInstance, SimpleGraph, SolveOutcome,
+                    _canonical_cuts, degree_sum, verify_realization)
 
 
 # Rewrite records.  Applied in list order they turn the original instance into
@@ -71,6 +71,7 @@ _TRACE_JSON = {
 
 
 def trace_to_json(trace) -> list[dict]:
+    """The JSON documents of ``trace``, one per record, in order."""
     out = []
     for rec in trace:
         if type(rec) not in _TRACE_JSON:
@@ -82,41 +83,6 @@ def trace_to_json(trace) -> list[dict]:
             doc[key] = list(value) if key == "s" else value
         out.append(doc)
     return out
-
-
-def _trace_field(doc: dict, key: str):
-    """The value of ``key`` in a trace record: ``s`` is a list of three
-    integers, every other field an integer under the rule of ``_integer``."""
-    if key not in doc:
-        raise InvalidInstanceError(f"trace record {doc['kind']!r} has no {key!r}")
-    value = doc[key]
-    if key != "s":
-        return _integer(value, f"trace field {key!r}")
-    if not isinstance(value, list) or len(value) != 3:
-        raise InvalidInstanceError(f"trace field 's' must be a list of three integers, got {value!r}")
-    return tuple(_integer(v, "trace set member") for v in value)
-
-
-def trace_from_json(docs) -> tuple[TraceRecord, ...]:
-    """The records ``trace_to_json`` wrote; a malformed record, or one whose
-    vertices are not distinct naturals, raises InvalidInstanceError."""
-    out: list[TraceRecord] = []
-    for doc in docs:
-        if not isinstance(doc, dict):
-            raise InvalidInstanceError(f"trace record must be an object, got {doc!r}")
-        kind = doc.get("kind")
-        for cls, (name, keys) in _TRACE_JSON.items():
-            if name == kind:
-                values = [_trace_field(doc, key) for key in keys]
-                named = [*values[0], *values[1:]] if keys[0] == "s" else values
-                if min(named) < 0 or len(set(named)) < len(named):
-                    raise InvalidInstanceError(
-                        f"trace record {kind!r} names vertices {named}, not distinct naturals")
-                out.append(cls(*values))
-                break
-        else:
-            raise InvalidInstanceError(f"unknown trace record kind {kind!r}")
-    return tuple(out)
 
 
 def feasible_ell_set(inst: GrcInstance, s) -> frozenset[int]:
@@ -242,10 +208,9 @@ def _classify_pairs(degrees: tuple[int, ...], cuts) -> Core:
 
 
 def as_core(inst: GrcInstance | Core) -> Core:
-    """``inst`` classified and with its forced edges eliminated; a Core passes through."""
-    if isinstance(inst, Core):
-        return inst
-    core = _classify_pairs(inst.degrees, inst.cuts)
+    """``inst`` classified, with its forced edges eliminated; a Core is
+    eliminated in place (a no-op on one already eliminated) and returned."""
+    core = inst if isinstance(inst, Core) else _classify_pairs(inst.degrees, inst.cuts)
     core.eliminate()
     return core
 

@@ -6,7 +6,7 @@ all even, and such a subgraph contains a cycle.  The matching route's pruning
 (``ffactor._prune``) settles every edge of a forest, since each leaf has
 target 0 or 1, that is 0 or its degree.  So ``ffactor.solve_on_host``
 decides the forest route with an empty matching expansion, then checks every
-cut that is not a pair cut on the unique factor.
+cut that is not a pair cut on the unique factor.  ``is_forest`` tests the host.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .preprocess import eliminate_fixed_edges, verify_realization  # noqa: F401
 from .reduce3 import lift_realization  # noqa: F401
 
 
-def _component_count(g: SimpleGraph) -> int:
+def is_forest(g: SimpleGraph) -> bool:
+    """True iff no edge closes a cycle (union-find over the edges)."""
     parent = list(range(g.vertex_count))
 
     def find(a: int) -> int:
@@ -31,20 +32,10 @@ def _component_count(g: SimpleGraph) -> int:
 
     for u, v in g.edges:
         ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return sum(1 for v in range(g.vertex_count) if find(v) == v)
-
-
-def is_tree(g: SimpleGraph) -> bool:
-    """True iff connected with exactly n - 1 edges."""
-    if g.vertex_count == 0:
-        return False
-    return len(g.edges) == g.vertex_count - 1 and _component_count(g) == 1
-
-
-def is_forest(g: SimpleGraph) -> bool:
-    return len(g.edges) == g.vertex_count - _component_count(g)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
 
 
 def solve_tree(inst: GrcInstance | Core) -> SolveOutcome:

@@ -17,7 +17,6 @@ from grc import (
     enumerate_realizations,
     erdos_gallai,
     havel_hakimi,
-    is_two_one,
     lift_realization,
     max_matching,
     normalize,
@@ -33,6 +32,7 @@ from grc import (
     solve_f_factor,
     tdm_brute,
     tdm_to_grc,
+    two_one_violations,
     verify_realization,
     width,
 )
@@ -184,7 +184,7 @@ def test_criterion_06_sat_encoding():
     for trial in range(200):
         nv = rng.choice((2, 2, 3, 3, 4, 4, 5, 5, 6, 7, 8))
         f = random_21_formula(rng, nv)
-        assert is_two_one(f)
+        assert not two_one_violations(f)
         for k in range(f.variable_count + 1):
             inst, _ = sat_to_grc(f, k)
             want = sat_brute(f, k) is not None
@@ -228,7 +228,7 @@ def test_criterion_08_monotone_transform():
     for _ in range(200):
         f = random_positive_formula(rng, max_vars=5)
         out = monotone_to_21(f)
-        assert is_two_one(out), f
+        assert not two_one_violations(out), f
         assert all(len(c) in (2, 3) for c in out.clauses)
         assert (sat_brute(f) is not None) == (sat_brute(out) is not None), f
 

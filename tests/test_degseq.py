@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from grc import erdos_gallai, havel_hakimi
+from grc import InvalidInstanceError, erdos_gallai, havel_hakimi
 
 
 class TestErdosGallai:
@@ -72,3 +72,14 @@ def test_agreement_random_permutations():
         assert graphic == (witness is not None), seq
         if witness is not None:
             assert witness.degree_sequence() == tuple(seq)
+
+
+@pytest.mark.parametrize("check, degrees", [
+    (havel_hakimi, (True, True)),
+    (havel_hakimi, (1.0, 1)),
+    (erdos_gallai, [1, 1, 0.0]),
+    (erdos_gallai, [False, 0]),
+])
+def test_degrees_follow_the_integer_rule(check, degrees):
+    with pytest.raises(InvalidInstanceError, match="degree must be an integer"):
+        check(degrees)

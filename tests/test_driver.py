@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,12 @@ from grc import (
 from grc.preprocess import eliminate_fixed_edges, possibility_graph
 from grc.treesolve import is_forest
 from tests.bruteforce import brute_realizable, random_instance
+
+
+def test_all_lists_every_public_name():
+    public = {name for name, value in vars(grc).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(grc.__all__) == public
 
 
 class TestDispatch:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from grc import (
     ThreeDMInstance,
     decode_sat_witness,
     decode_tdm_witness,
-    is_two_one,
     monotone_to_21,
     oracle_solve,
     possibility_graph,
@@ -65,14 +65,14 @@ class TestMonotoneTo21:
     def test_single_occurrence_gains_tautology(self):
         f = OneInThreeInstance(2, ((1, 2),))
         out = monotone_to_21(f)
-        assert is_two_one(out)
+        assert not two_one_violations(out)
         assert (1, -1) in out.clauses or any(set(c) == {1, -1} for c in out.clauses)
 
     def test_double_occurrence_gains_one_clone(self):
         f = OneInThreeInstance(1, ((1, 1),))  # degenerate but two occurrences
         out = monotone_to_21(f)
         assert out.variable_count == 2
-        assert is_two_one(out)
+        assert not two_one_violations(out)
 
     def test_rejects_negative_literals(self):
         with pytest.raises(ValueError):
@@ -87,7 +87,7 @@ class TestMonotoneTo21:
         for _ in range(120):
             f = random_positive_formula(rng, max_vars=5)
             out = monotone_to_21(f)
-            assert is_two_one(out), (f, out)
+            assert not two_one_violations(out), (f, out)
             assert (sat_brute(f) is not None) == (sat_brute(out) is not None), f
 
     def test_clause_sizes(self):
@@ -136,11 +136,11 @@ class TestSatToGrc:
                 sat_to_grc(FIG2, k)
 
     def test_roles_total(self):
+        # the variable blocks, clause blocks and sinks partition the vertices
         inst, gm = sat_to_grc(FIG2, 1)
-        for v in range(inst.vertex_count):
-            assert gm.role_of(v)
-        with pytest.raises(KeyError, match="has no role"):
-            gm.role_of(inst.vertex_count)
+        vertices = [*itertools.chain(*gm.var_blocks), *itertools.chain(*gm.clause_blocks),
+                    *gm.sink_vertices]
+        assert sorted(vertices) == list(range(inst.vertex_count))
 
     def test_possibility_graph_structure(self):
         # 2 block edges per variable, 3 per clause, 3 wiring edges per
@@ -246,7 +246,7 @@ class TestEndToEndSat:
     def test_k_sweep_false_when_chained_equal(self):
         # (x v ~y), (y v ~x) force x == y, then (x v y) can never have exactly one
         f = OneInThreeInstance(2, ((1, -2), (2, -1), (1, 2)))
-        assert is_two_one(f)
+        assert not two_one_violations(f)
         assert solve_21_by_k_sweep(f, lambda ff, k: sat_brute(ff, k) is not None) is False
 
     def test_k_sweep_empty_formula(self):
@@ -260,18 +260,6 @@ class TestTdmToGrc:
         assert inst.vertex_count == 18
         assert set(inst.degrees) == {1}
         assert width(inst) == 6
-
-    def test_roles(self):
-        # the README's triples: x vertices, then a pair per occurrence of each
-        # middle element, then z vertices
-        inst, gm = tdm_to_grc(ThreeDMInstance(3, ((0, 0, 0), (0, 1, 1), (1, 0, 0))))
-        assert [gm.role_of(v) for v in range(inst.vertex_count)] == [
-            ("x", 0), ("x", 1), ("x", 2),
-            ("y", 0, 0, "a"), ("y", 0, 0, "b"), ("y", 0, 1, "a"), ("y", 0, 1, "b"),
-            ("y", 1, 0, "a"), ("y", 1, 0, "b"),
-            ("z", 0), ("z", 1), ("z", 2)]
-        with pytest.raises(KeyError, match="has no role"):
-            gm.role_of(inst.vertex_count)
 
     def test_fig3_realizable_and_decodes(self):
         inst, gm = tdm_to_grc(FIG3)

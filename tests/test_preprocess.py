@@ -7,15 +7,17 @@ from grc import (
     Contradiction,
     CutConstraint,
     GrcInstance,
-    InvalidInstanceError,
     build_pair_ledger,
     eliminate_fixed_edges,
+    enumerate_realizations,
     feasible_ell_set,
     lift_realization,
     normalize,
+    oracle_solve,
     possibility_graph,
     screen_instance,
-    trace_from_json,
+    solve_tree,
+    solve_width2,
     trace_to_json,
     verify_realization,
 )
@@ -231,6 +233,22 @@ class TestEliminateFixedEdges:
         assert checked > 100
 
 
+class TestScreenedCore:
+    def test_solvers_eliminate_its_forced_pairs(self):
+        # the screen forces a pair and leaves it unplaced; each instance has
+        # one realization, and the second's possibility graph is a path
+        inst = GrcInstance((1, 1, 1, 1), (CutConstraint((1, 2), 0),))
+        only = frozenset({(0, 3), (1, 2)})
+        assert oracle_solve(screen_instance(inst)).witness.edges == only
+        assert [g.edges for g in enumerate_realizations(screen_instance(inst), 5)] == [only]
+        assert solve_width2(screen_instance(inst)).witness.edges == only
+        degrees, path = (1, 1, 1, 1, 0), {(0, 1), (1, 2), (2, 3), (3, 4)}
+        forbid = [CutConstraint(p, degrees[p[0]] + degrees[p[1]])
+                  for p in itertools.combinations(range(5), 2) if p not in path]
+        on_path = GrcInstance(degrees, (CutConstraint((0, 1), 0), *forbid))
+        assert solve_tree(screen_instance(on_path)).witness.edges == {(0, 1), (2, 3)}
+
+
 class TestPossibilityGraph:
     def test_k3_minus_edge(self):
         inst = GrcInstance((1, 1, 2), (CutConstraint((0, 1), 2),))
@@ -266,25 +284,3 @@ class TestTraceJson:
         assert [doc["kind"] for doc in docs] == [
             "fixed_edge_eliminated", "case1_forbid", "case2_fix", "case3_gadget", "case4_gadget"]
         assert docs[4] == {"kind": "case4_gadget", "s": [1, 2, 3], "x": 6, "y": 7}
-        assert trace_from_json(docs) == trace
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            trace_from_json([{"kind": "mystery"}])
-
-    @pytest.mark.parametrize("docs", [
-        [1],
-        [{"kind": "case1_forbid"}],
-        [{"kind": "case3_gadget", "s": [0, 1, 2], "x": 1.5}],
-        [{"kind": "fixed_edge_eliminated", "u": True, "v": "a"}],
-        [{"kind": "case2_fix", "s": [0, 1]}],
-        [{"kind": "case2_fix", "s": 7}],
-        [{"kind": "fixed_edge_eliminated", "u": 2, "v": 2}],
-        [{"kind": "fixed_edge_eliminated", "u": -1, "v": 3}],
-        [{"kind": "case1_forbid", "s": [2, 2, 2]}],
-        [{"kind": "case3_gadget", "s": [0, 0, 1], "x": -4}],
-        [{"kind": "case4_gadget", "s": [0, 1, 2], "x": 5, "y": 5}],
-    ])
-    def test_malformed_record_is_invalid(self, docs):
-        with pytest.raises(InvalidInstanceError):
-            trace_from_json(docs)

@@ -38,3 +38,39 @@ def test_every_hook_is_wrapped():
     assert hooks, "no tracer hooks found; the scan is broken"
     wrapped = {(module, attr) for module, attr, _, _ in _tracing().WRAPPED}
     assert sorted(hooks - wrapped) == []
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """Every bare name and every attribute name the tree reads."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def test_every_import_and_private_definition_is_used():
+    """Outside ``__init__.py`` every imported name is read in its module
+    (a ``# noqa: F401`` line is a tracer hook, checked above), and every
+    module-level ``_private`` function or class is read somewhere in the package."""
+    modules = {path.stem: path.read_text()
+               for path in sorted((ROOT / "src" / "grc").glob("*.py")) if path.stem != "__init__"}
+    trees = {stem: ast.parse(text) for stem, text in modules.items()}
+    package_reads = set().union(*map(_loaded_names, trees.values()))
+    unused, unread = [], []
+    for stem, tree in trees.items():
+        lines, reads = modules[stem].splitlines(), _loaded_names(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and "# noqa: F401" not in lines[node.end_lineno - 1]):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "annotations" and name not in reads:
+                        unused.append((stem, name))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                    and node.name not in package_reads):
+                unread.append((stem, node.name))
+    assert (unused, unread) == ([], [])

@@ -9,7 +9,6 @@ from grc import (
     SimpleGraph,
     enumerate_realizations,
     is_forest,
-    is_tree,
     oracle_solve,
     solve_tree,
     verify_realization,
@@ -30,19 +29,17 @@ def tree_instance(n, tree_edges, degrees, extra=()):
 
 class TestTreePredicates:
     def test_path_is_tree(self):
-        assert is_tree(path_graph(4))
+        assert is_forest(path_graph(4))
 
     def test_cycle_is_not(self):
         c4 = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        assert not is_tree(c4) and not is_forest(c4)
+        assert not is_forest(c4)
 
     def test_disjoint_edges_forest_not_tree(self):
-        g = SimpleGraph(4, [(0, 1), (2, 3)])
-        assert not is_tree(g)
-        assert is_forest(g)
+        assert is_forest(SimpleGraph(4, [(0, 1), (2, 3)]))
 
     def test_single_vertex(self):
-        assert is_tree(SimpleGraph(1))
+        assert is_forest(SimpleGraph(1))
 
 
 class TestSolveTree:
