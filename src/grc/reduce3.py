@@ -172,16 +172,18 @@ def reduce_to_width2(inst: GrcInstance | Core, *, guard: bool = True):
     """Rewrite every size-3 cut, yielding an equivalent instance of width <= 2.
 
     Expects a normalized, screened instance, or a Core built from one (which
-    is copied, not changed).  Loops: eliminate forced edges, derive the case
-    of each remaining size-3 cut from the current degrees, apply forbid/fix
-    rewrites first, then helper-vertex rewrites in ascending set order.
-    Raises UnsafeReduction when the guard rejects a remaining cut (with
-    guard=False the rewrites are applied regardless, which is unsound in
-    general and exists for diagnostics), Contradiction when the rewrites
-    surface genuinely conflicting constraints.  Returns the reduced instance
-    (a Core for a Core) and the trace from the instance the input was built
-    from.  An UnsafeReduction carries as ``core`` the eliminated Core that
-    holds every forbid/fix rewrite made before the refusal.
+    is copied, not changed).  Forbid/fix rewrites run to a fixpoint, each one
+    followed by forced-edge elimination and fresh cases for the remaining
+    size-3 cuts.  The guard then runs once, and helper rewrites follow in
+    ascending set order: each forces edges only onto its own new helper, which
+    lies in no other cut, so no case moves; and under the guard the pairs it
+    forbids lie inside no other remaining cut, so no guard verdict moves.
+    Raises UnsafeReduction when the guard rejects a remaining cut (guard=False
+    rewrites regardless: unsound in general, for diagnostics only), and
+    Contradiction when the rewrites surface genuinely conflicting constraints.
+    Returns the reduced instance (a Core for a Core) and the trace from the
+    instance the input was built from.  An UnsafeReduction's ``core`` is the
+    eliminated Core holding every forbid/fix rewrite made before the refusal.
     """
     from_instance = isinstance(inst, GrcInstance)
     work = _classify_pairs(inst.degrees, inst.cuts) if from_instance else inst.copy()
@@ -190,22 +192,22 @@ def reduce_to_width2(inst: GrcInstance | Core, *, guard: bool = True):
     while True:
         work.eliminate()
         size3 = sorted(s for s in work.cuts if len(s) == 3)
-        if not size3:
-            break
         cases = {}
         for s in size3:
             cases[s] = _size3_case(work.degrees, s, work.cuts[s])
             if cases[s] is None:
-                raise Contradiction(
-                    f"after forced-edge elimination, cut {s} demands {work.cuts[s]}, "
-                    "outside the attainable sizes")
+                raise Contradiction(f"after forced-edge elimination, cut {s} demands "
+                                    f"{work.cuts[s]}, outside the attainable sizes")
         target = next((s for s in size3 if cases[s] in (Size3Case.CASE1, Size3Case.CASE2)), None)
         if target is None:
-            offenders = [o for s in size3 for o in _safety_violations(work, s)] if guard else []
-            if offenders:
-                raise UnsafeReduction(offenders, work)
-            target = size3[0]
+            break
         _rewrite(work, target, cases[target])
+    offenders = [o for s in size3 for o in _safety_violations(work, s)] if guard else []
+    if offenders:
+        raise UnsafeReduction(offenders, work)
+    for s in size3:
+        _rewrite(work, s, cases[s])
+        work.eliminate()
     return (work.to_instance() if from_instance else work), tuple(work.trace)
 
 

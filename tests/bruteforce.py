@@ -2,9 +2,10 @@
 
 Everything here re-derives answers from first principles (raw subset
 enumeration, token packing) so the library code is checked against logic that
-shares none of its machinery.  The one exception, ``differential_sweep``, runs
+shares none of its machinery.  Two exceptions: ``differential_sweep`` runs
 the library's two deciders against each other and checks their witnesses
-with ``satisfies``.
+with ``satisfies``, and ``reduce_one_at_a_time`` drives the library's own
+size-3 rewrite steps in the order that re-derives every case after each one.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from grc import (CutConstraint, GrcInstance, OneInThreeInstance, SimpleGraph, ThreeDMInstance,
-                 oracle_solve, solve)
+from grc import (Contradiction, CutConstraint, GrcInstance, OneInThreeInstance, SimpleGraph,
+                 ThreeDMInstance, UnsafeReduction, oracle_solve, solve)
+from grc.reduce3 import Size3Case, _rewrite, _safety_violations, _size3_case
 
 
 def all_graphs(n: int):
@@ -169,10 +171,56 @@ def random_planted_instance(rng):
     sets = [tuple(sorted(rng.sample(range(n), 3))) for _ in range(rng.randint(1, 3))]
     if rng.random() < 0.5:
         sets.append(tuple(sorted(rng.sample(range(n), 2))))
-    inst = planted_instance(SimpleGraph(n, edges), sets)
+    return _move_some_demands(rng, planted_instance(SimpleGraph(n, edges), sets))
+
+
+def random_overlapping_triples_instance(rng):
+    """A G(n, 1/2) graph on 5 to 9 vertices with 1 to 4 triples, each after
+    the first sharing one or two vertices with an earlier one, and 0 to 3
+    random pairs, each set demanding its cut size in the graph; on 30% of
+    the cuts that size is then moved by 2 either way (never below 0)."""
+    n = rng.randint(5, 9)
+    edges = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+    sets = [tuple(sorted(rng.sample(range(n), 3)))]
+    for _ in range(rng.randint(0, 3)):
+        kept = rng.sample(rng.choice(sets), rng.randint(1, 2))
+        fresh = rng.sample([v for v in range(n) if v not in kept], 3 - len(kept))
+        sets.append(tuple(sorted(kept + fresh)))
+    sets += [tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 3))]
+    return _move_some_demands(rng, planted_instance(SimpleGraph(n, edges), sets))
+
+
+def _move_some_demands(rng, inst: GrcInstance) -> GrcInstance:
     cuts = tuple(CutConstraint(c.members, max(0, c.ell + rng.choice((-2, 2))))
                  if rng.random() < 0.3 else c for c in inst.cuts)
     return GrcInstance(inst.degrees, cuts)
+
+
+def reduce_one_at_a_time(core, *, guard: bool = True):
+    """``reduce_to_width2`` on a Core, one rewrite per pass: after each rewrite
+    and elimination every case is derived again, the first case-1 or case-2
+    cut is rewritten, or else the guard runs over every remaining cut and the
+    first one is rewritten.  Same results, traces and errors, by design."""
+    work = core.copy()
+    while True:
+        work.eliminate()
+        size3 = sorted(s for s in work.cuts if len(s) == 3)
+        if not size3:
+            return work, tuple(work.trace)
+        cases = {}
+        for s in size3:
+            cases[s] = _size3_case(work.degrees, s, work.cuts[s])
+            if cases[s] is None:
+                raise Contradiction(
+                    f"after forced-edge elimination, cut {s} demands {work.cuts[s]}, "
+                    "outside the attainable sizes")
+        target = next((s for s in size3 if cases[s] in (Size3Case.CASE1, Size3Case.CASE2)), None)
+        if target is None:
+            offenders = [o for s in size3 for o in _safety_violations(work, s)] if guard else []
+            if offenders:
+                raise UnsafeReduction(offenders, work)
+            target = size3[0]
+        _rewrite(work, target, cases[target])
 
 
 def differential_sweep(instances, planted: bool = False) -> Counter:

@@ -183,6 +183,10 @@ class TestDegseq:
         code, _, err = run_cli(capsys, "degseq", "1,x")
         assert code == 2
 
+    def test_negative_degree(self, capsys):
+        code, out, err = run_cli(capsys, "degseq", "1,-1")
+        assert (code, out, err) == (2, "", "error: degrees must be nonnegative\n")
+
 
 class TestFFactor:
     def test_triangle(self, tmp_path, capsys):

@@ -151,6 +151,11 @@ class TestSolveWidth2:
         assert out.is_realizable
         assert out.witness.edges in (frozenset({(0, 2), (1, 3)}), frozenset({(0, 3), (1, 2)}))
 
+    def test_rejects_width3(self):
+        inst = GrcInstance((2, 2, 2, 2, 2, 2), (CutConstraint((0, 1, 2), 4),))
+        with pytest.raises(ValueError, match="^solve_width2 needs all cut sets of size <= 2$"):
+            solve_width2(inst)
+
     def test_triangle_unique_realization_blocked(self):
         out = solve_width2(GrcInstance((2, 2, 2), (CutConstraint((0, 1), 4),)))
         assert not out.is_realizable

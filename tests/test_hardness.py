@@ -8,6 +8,7 @@ from grc import (
     GrcInstance,
     InvalidInstanceError,
     OneInThreeInstance,
+    SimpleGraph,
     ThreeDMInstance,
     decode_sat_witness,
     decode_tdm_witness,
@@ -128,6 +129,8 @@ class TestSatToGrc:
             sat_to_grc(OneInThreeInstance(2, ((1, 2),)), 0)
         with pytest.raises(ValueError):
             sat_to_grc(FIG2, 9)
+        with pytest.raises(ValueError, match="^empty formula with all_ones and k = 0 yields no vertices$"):
+            sat_to_grc(OneInThreeInstance(0, ()), 0, all_ones=True)
 
     def test_rejects_non_integer_k(self):
         # the budget sets a degree, so it is never truncated or read from a bool
@@ -153,7 +156,6 @@ class TestSatToGrc:
             assert pg.has_edge(f2, gm.sink_vertices[0])
 
     def test_decode_rejects_non_realization(self):
-        from grc import SimpleGraph
         inst, gm = sat_to_grc(FIG2, 1)
         with pytest.raises(ValueError):
             decode_sat_witness(SimpleGraph(inst.vertex_count), gm)
@@ -199,7 +201,6 @@ class TestSatToGrc:
             for j, leftovers in clause_false.items():
                 assert len(leftovers) == 2
                 edges.add(tuple(sorted(leftovers)))
-            from grc import SimpleGraph
             g = SimpleGraph(inst.vertex_count, frozenset(edges))
             assert verify_realization(g, inst).ok, (f, assignment)
             assert decode_sat_witness(g, gm) == assignment
@@ -253,6 +254,12 @@ class TestEndToEndSat:
         f = OneInThreeInstance(0, ())
         assert solve_21_by_k_sweep(f, lambda ff, k: sat_brute(ff, k) is not None) is True
 
+    def test_k_sweep_rejects_non_21_form(self):
+        f = OneInThreeInstance(1, ((1, 1),))
+        with pytest.raises(ValueError, match=r"^formula is not in \(2,1\) occurrence form: "
+                                             r"variable 1 occurs 2x positive / 0x negative$"):
+            solve_21_by_k_sweep(f, lambda ff, k: True)
+
 
 class TestTdmToGrc:
     def test_fig3_shape(self):
@@ -276,6 +283,12 @@ class TestTdmToGrc:
     def test_unsolvable_small(self):
         inst, _ = tdm_to_grc(ThreeDMInstance(2, ((0, 0, 0),)))
         assert not oracle_solve(inst).is_realizable
+
+    def test_decode_rejects_non_realization(self):
+        inst, gm = tdm_to_grc(ThreeDMInstance(1, ((0, 0, 0),)))
+        with pytest.raises(ValueError, match="^graph does not realize the generated instance: "
+                                             "vertex 0: degree 0 != required 1$"):
+            decode_tdm_witness(SimpleGraph(inst.vertex_count), gm)
 
     def test_occurrence_bound_enforced(self):
         t = ThreeDMInstance(4, tuple((0, y, y) for y in range(4)))
@@ -302,7 +315,6 @@ class TestTdmToGrc:
                         chosen.discard(triple)
                     else:
                         edges.add((a, b))
-            from grc import SimpleGraph
             g = SimpleGraph(inst.vertex_count, frozenset(edges))
             assert verify_realization(g, inst).ok, t
             assert decode_tdm_witness(g, gm) == m

@@ -53,6 +53,8 @@ class TestSimpleGraph:
             SimpleGraph(3, [(1, 1)])
         with pytest.raises(InvalidInstanceError):
             SimpleGraph(3, [(0, 3)])
+        with pytest.raises(InvalidInstanceError, match="^vertex count must be nonnegative$"):
+            SimpleGraph(-1)
 
     def test_integer_rule(self):
         # a bool or a non-integral count or endpoint raises, it is never
@@ -83,6 +85,8 @@ class TestInstanceValidation:
             GrcInstance(())
         with pytest.raises(InvalidInstanceError):
             GrcInstance((-1, 1))
+        with pytest.raises(InvalidInstanceError, match="^cut set must be nonempty$"):
+            CutConstraint((), 0)
 
     def test_rejects_full_set_cut(self):
         with pytest.raises(InvalidInstanceError):
@@ -136,6 +140,8 @@ class TestCutSize:
             cut_size(triangle(), set())
         with pytest.raises(ValueError):
             cut_size(triangle(), {0, 1, 2})
+        with pytest.raises(ValueError, match=r"^cut set \[0, 5\] out of range for n=3$"):
+            cut_size(SimpleGraph(3), (0, 5))
 
     @given(graphs())
     def test_complement_identity(self, g):

@@ -175,6 +175,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             ThreeDMInstance(1, ((0, 0, 1),))
 
+    def test_negative_sizes(self):
+        with pytest.raises(ValueError, match="^variable count must be nonnegative$"):
+            OneInThreeInstance(-1, ())
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            ThreeDMInstance(-1, ())
+
 
 def test_source_problems_refuse_non_integers():
     # values are never truncated or coerced: floats, strings and bools raise

@@ -284,3 +284,7 @@ class TestTraceJson:
         assert [doc["kind"] for doc in docs] == [
             "fixed_edge_eliminated", "case1_forbid", "case2_fix", "case3_gadget", "case4_gadget"]
         assert docs[4] == {"kind": "case4_gadget", "s": [1, 2, 3], "x": 6, "y": 7}
+
+    def test_unknown_record_refused(self):
+        with pytest.raises(TypeError, match="^unknown trace record <object object at "):
+            trace_to_json([object()])

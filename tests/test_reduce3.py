@@ -25,8 +25,10 @@ from grc import (
     verify_realization,
     width,
 )
-from grc.preprocess import Case3Gadget, Case4Gadget, FixedEdgeEliminated
-from tests.bruteforce import brute_realizable, random_width3_instance
+from grc import reduce3
+from grc.preprocess import Case1Forbid, Case2Fix, Case3Gadget, Case4Gadget, FixedEdgeEliminated
+from tests.bruteforce import (brute_realizable, planted_instance, random_overlapping_triples_instance,
+                              random_planted_instance, random_width3_instance, reduce_one_at_a_time)
 
 
 def cut3(members, ell):
@@ -125,6 +127,11 @@ class TestApplyCases:
         for z in (3, 4, 5):
             assert ledger.status(z, 7) == "forbidden"
         assert ledger.status(6, 7) == "forbidden"
+
+    def test_wrong_case_refused(self):
+        inst = CASE_INSTANCES[Size3Case.CASE3]
+        with pytest.raises(ValueError, match=r"^apply_case1 expects a cut with ell = d\(S\) - 0$"):
+            apply_case1(inst, inst.cuts[0])
 
     def test_unsafe_refused(self):
         inst = GrcInstance((2, 2, 2, 2, 2, 0),
@@ -235,6 +242,58 @@ class TestReduceToWidth2:
                 lifted = lift_realization(trace, got.witness)
                 assert verify_realization(lifted, norm).ok
                 assert verify_realization(lifted, inst).ok
+
+
+def _outcome(reduce, core, guard):
+    """What one reduction gives: the Core and trace, or the error with its text,
+    offenders and the Core it hands over."""
+    try:
+        out, trace = reduce(core, guard=guard)
+        return "reduced", out, list(out.cuts), trace
+    except UnsafeReduction as exc:
+        return UnsafeReduction, str(exc), exc.offenders, exc.core, list(exc.core.cuts)
+    except Contradiction as exc:
+        return Contradiction, str(exc)
+
+
+class TestRewriteOrder:
+    @pytest.mark.parametrize("make, seed", [(random_planted_instance, 5),
+                                            (random_overlapping_triples_instance, 9)],
+                             ids=["sweep-sample", "overlapping-triples"])
+    def test_matches_one_rewrite_per_pass(self, make, seed):
+        # helper rewrites after one guard pass give what re-deriving every
+        # case and re-running the guard after each rewrite gives
+        rng = random.Random(seed)
+        seen = set()
+        for _ in range(1000):
+            try:
+                core = screen_instance(make(rng))
+            except Contradiction:
+                continue
+            for guard in (True, False):
+                got = _outcome(reduce_to_width2, core, guard)
+                assert got == _outcome(reduce_one_at_a_time, core, guard), (core, guard)
+                seen.add(got[0])
+        assert seen == {"reduced", UnsafeReduction, Contradiction}
+
+    def test_guard_runs_once_per_helper_rewrite(self, monkeypatch):
+        # 20 disjoint triples with one or two internal edges (helper cases)
+        # and two with none or three (forbid/fix cases), chained by one edge
+        triples = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(22)]
+        internal = [1 + i % 2 for i in range(20)] + [0, 3]
+        edges = [(3 * i, 3 * i + 3) for i in range(21)]
+        for s, count in zip(triples, internal):
+            edges += [(s[0], s[1]), (s[1], s[2]), (s[0], s[2])][:count]
+        core = screen_instance(planted_instance(SimpleGraph(66, edges), triples))
+        calls = []
+        guard = reduce3._safety_violations
+        monkeypatch.setattr(reduce3, "_safety_violations",
+                            lambda work, s: calls.append(s) or guard(work, s))
+        _, trace = reduce_to_width2(core)
+        assert calls == triples[:20]
+        rewrites = [r for r in trace if not isinstance(r, FixedEdgeEliminated)]
+        assert [type(r) for r in rewrites[:2]] == [Case1Forbid, Case2Fix]
+        assert [r.s for r in rewrites[2:]] == triples[:20]
 
 
 class TestLift:

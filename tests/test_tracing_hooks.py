@@ -54,7 +54,7 @@ def _loaded_names(tree: ast.AST) -> set[str]:
 def test_every_import_and_private_definition_is_used():
     """Outside ``__init__.py`` every imported name is read in its module
     (a ``# noqa: F401`` line is a tracer hook, checked above), and every
-    module-level ``_private`` function or class is read somewhere in the package."""
+    module-level ``_private`` function, class or constant is read somewhere in the package."""
     modules = {path.stem: path.read_text()
                for path in sorted((ROOT / "src" / "grc").glob("*.py")) if path.stem != "__init__"}
     trees = {stem: ast.parse(text) for stem, text in modules.items()}
@@ -70,7 +70,13 @@ def test_every_import_and_private_definition_is_used():
                     if name != "annotations" and name not in reads:
                         unused.append((stem, name))
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
-                    and node.name not in package_reads):
-                unread.append((stem, node.name))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [(stem, name) for name in names
+                       if name.startswith("_") and name not in package_reads]
     assert (unused, unread) == ([], [])
